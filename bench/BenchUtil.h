@@ -243,6 +243,22 @@ struct MeasuredRow {
   double SolveFitSec = 0.0;
   size_t Rank = 0; ///< 1-based rank of first structured program; 0 = none
   bool Sound = false;
+
+  /// Adds \p Other's wall clock and every phase field above to this row
+  /// (a harness that bills a second run to the same row uses this, so no
+  /// phase can be left out of the sum).
+  void addTimes(const MeasuredRow &Other) {
+    TimeSec += Other.TimeSec;
+    RewriteSec += Other.RewriteSec;
+    SolveSec += Other.SolveSec;
+    ExtractSec += Other.ExtractSec;
+    RewriteSearchSec += Other.RewriteSearchSec;
+    RewriteApplySec += Other.RewriteApplySec;
+    RewriteRebuildSec += Other.RewriteRebuildSec;
+    SolvePreprocessSec += Other.SolvePreprocessSec;
+    SolvePruneSec += Other.SolvePruneSec;
+    SolveFitSec += Other.SolveFitSec;
+  }
 };
 
 /// Runs the synthesizer on \p Input and gathers Table 1 metrics. The rank

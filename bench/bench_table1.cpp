@@ -79,13 +79,7 @@ int main() {
         Row.Rank = LoopRow.Rank;
         Row.Loops = LoopRow.Loops + " (rl)";
         Row.Forms = LoopRow.Forms;
-        Row.TimeSec += LoopRow.TimeSec;
-        Row.RewriteSec += LoopRow.RewriteSec;
-        Row.SolveSec += LoopRow.SolveSec;
-        Row.ExtractSec += LoopRow.ExtractSec;
-        Row.RewriteSearchSec += LoopRow.RewriteSearchSec;
-        Row.RewriteApplySec += LoopRow.RewriteApplySec;
-        Row.RewriteRebuildSec += LoopRow.RewriteRebuildSec;
+        Row.addTimes(LoopRow);
       }
     }
     printMeasured(M.Name + (M.Provenance == 'T' ? " [T]" : " [I]"), Row);

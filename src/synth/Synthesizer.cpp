@@ -197,6 +197,20 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     return true;
   };
 
+  // Builds the engine on first use and refreshes it after that; refresh
+  // equals a rebuild from scratch, so where the sync happens changes only
+  // how much work it does, never the programs.
+  auto syncExtraction = [&] {
+    const auto ExtractStart = Clock::now();
+    if (!Extraction)
+      Extraction = std::make_unique<KBestExtractor>(
+          G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads);
+    else
+      Extraction->refresh();
+    Result.Stats.ExtractSeconds +=
+        std::chrono::duration<double>(Clock::now() - ExtractStart).count();
+  };
+
   Runner SaturationRunner(Opts.Limits);
   for (unsigned Iter = 0; Iter < Opts.MainLoopIters && !cancelled(); ++Iter) {
     // --- Syntactic rewrites (Fig. 5 line 4) -----------------------------
@@ -248,21 +262,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     if (cancelled())
       break;
 
-    // The engine comes up (or re-syncs) right after saturation, *before*
-    // the solve phase, so each fold site's insertions can be folded in
-    // incrementally as they happen (see refreshAfterSite below).
-    {
-      const auto ExtractStart = Clock::now();
-      G.rebuild();
-      if (!Extraction)
-        Extraction = std::make_unique<KBestExtractor>(
-            G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads);
-      else
-        Extraction->refresh();
-      Result.Stats.ExtractSeconds +=
-          std::chrono::duration<double>(Clock::now() - ExtractStart).count();
-    }
-
     // --- Warm-start capture (pre-solve) ---------------------------------
     // The snapshot freezes the pipeline right here: saturated graph,
     // saturation cursors, derived extraction engine — all at one graph
@@ -270,10 +269,16 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     // depend on the request), which is why capture precedes the solve.
     // Skipped when the round stopped non-deterministically, and when a
     // warm run didn't resume (its state equals the snapshot it restored).
-    if (Opts.CaptureSnapshot && Iter == 0 && Opts.MainLoopIters == 1 &&
+    const bool Capture =
+        Opts.CaptureSnapshot && Iter == 0 && Opts.MainLoopIters == 1 &&
         Result.Stats.Rewriting.Stop != StopReason::TimeLimit &&
         Result.Stats.Rewriting.Stop != StopReason::Cancelled &&
-        !(W && !WarmResume)) {
+        !(W && !WarmResume);
+    G.rebuild();
+    if (Capture) {
+      // Only the snapshot needs the engine before the solve; every other
+      // round derives it once, after all fold sites are in.
+      syncExtraction();
       std::ostringstream GraphBytes;
       G.serialize(GraphBytes);
       Result.Snapshot.Graph = std::move(GraphBytes).str();
@@ -308,17 +313,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     }
 
     const auto SolveStart = Clock::now();
-    // Extraction work performed inside the solve phase: refreshing after
-    // every fold site keeps the candidate tables warm (each refresh walks
-    // only that site's dirty log) and is billed to ExtractSeconds, not
-    // SolveSeconds.
-    double RefreshInSolveSec = 0.0;
-    auto refreshAfterSite = [&] {
-      const auto RefreshStart = Clock::now();
-      Extraction->refresh();
-      RefreshInSolveSec +=
-          std::chrono::duration<double>(Clock::now() - RefreshStart).count();
-    };
 
     // --- Locate fold contexts -------------------------------------------
     // A fold class accumulates one Fold node per extension step, so it can
@@ -390,36 +384,29 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
         }
       }
       G.rebuild();
-      refreshAfterSite();
     }
     Result.Stats.SolveSeconds +=
-        std::chrono::duration<double>(Clock::now() - SolveStart).count() -
-        RefreshInSolveSec;
-    Result.Stats.ExtractSeconds += RefreshInSolveSec;
+        std::chrono::duration<double>(Clock::now() - SolveStart).count();
     if (cancelled())
       break;
 
-    // --- Top-k extraction (Fig. 5 lines 8-9), kept fresh per round ------
-    // Every site already refreshed the engine; this re-sync only covers a
-    // round with zero sites (and is then O(1) on the clean graph).
+    // --- Top-k extraction (Fig. 5 lines 8-9), once per round -------------
+    // One sync covers the whole round: saturation and every fold site's
+    // insertions reach the engine through a single dirty-log walk.
     G.rebuild();
-    const auto ExtractStart = Clock::now();
-    Extraction->refresh();
-    Result.Stats.ExtractSeconds +=
-        std::chrono::duration<double>(Clock::now() - ExtractStart).count();
+    syncExtraction();
   }
   G.rebuild();
 
+  // No engine yet: MainLoopIters == 0, or a cancellation before the first
+  // sync — extract the graph as-is. A run cancelled after a sync broke out
+  // before its round's sync: re-sync so the candidate table keys on the
+  // current canonical ids (a stale table can miss the root outright after
+  // merges re-rooted its class) — this is what makes the partial-result
+  // contract hold.
+  if (!Extraction || Result.Stats.Cancelled)
+    syncExtraction();
   const auto ExtractStart = Clock::now();
-  if (!Extraction) // MainLoopIters == 0: extract the input graph as-is
-    Extraction = std::make_unique<KBestExtractor>(
-        G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads);
-  else if (Result.Stats.Cancelled)
-    // A cancelled run broke out before the per-round refresh: re-sync so
-    // the candidate table keys on the current canonical ids (a stale
-    // table can miss the root outright after merges re-rooted its class)
-    // — this is what makes the partial-result contract hold.
-    Extraction->refresh();
   Result.Programs = Extraction->extract(Root);
   Result.Stats.ExtractSeconds +=
       std::chrono::duration<double>(Clock::now() - ExtractStart).count();

@@ -17,9 +17,10 @@
 //  * cancellation: a fired token short-circuits the pipeline between
 //    stages and inside the trig frequency scan, and a cancelled synthesis
 //    still returns a well-formed partial result;
-//  * per-fold-site extraction refresh: incremental refresh after each of a
-//    sequence of graph mutations stays bit-identical to the from-scratch
-//    fixed-point oracle;
+//  * incremental extraction refresh across fold-site-like mutations, both
+//    refreshed after each site and refreshed once after all of them (the
+//    synthesizer's once-per-round pattern), stays bit-identical to the
+//    from-scratch fixed-point oracle;
 //  * dedup-aware determinization (UniqueElements) and solver-module
 //    attribution (InferenceRecord::Modules).
 //
@@ -438,7 +439,7 @@ TEST(SolverPipeline, CancelledSynthesisReturnsPartialResult) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-fold-site extraction refresh vs. the fixed-point oracle
+// Extraction refresh across fold-site insertions vs. the fixed-point oracle
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -459,39 +460,62 @@ void expectKBestMatchesOracle(const EGraph &G, const KBestExtractor &Engine,
   }
 }
 
-} // namespace
-
-TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
-  // The synthesizer now refreshes the k-best engine after *every* fold
-  // site's insertion instead of once per round; replay that access
-  // pattern — create early, mutate, refresh, extract — against the
-  // fixed-point oracle after each step.
+/// A saturated relay-box graph plus simulated fold-site insertions: new
+/// equivalent spellings of the model, each merged into the root class.
+struct FoldSiteFixture {
   EGraph G;
-  const TermPtr Model = models::modelByName("3452260:relay-box").FlatCsg;
-  EClassId Root = G.addTerm(Model);
-  G.rebuild();
-  Runner R(RunnerLimits{.IterLimit = 8, .NodeLimit = 60000,
-                        .TimeLimitSec = 30.0});
-  R.run(G, pipelineRules());
-
-  static const AstSizeCost Cost;
-  KBestExtractor Engine(G, Cost, 5);
-  expectKBestMatchesOracle(G, Engine, 5, "post-saturation");
-
-  // Simulated fold-site insertions: new equivalent spellings merged into
-  // existing classes, one refresh per site.
+  TermPtr Model = models::modelByName("3452260:relay-box").FlatCsg;
+  EClassId Root;
   std::vector<TermPtr> Sites = {
       tTranslate(0, 0, 0, Model),
       tUnion(tEmpty(), Model),
       tTranslate(0, 0, 0, tUnion(tEmpty(), Model)),
   };
-  for (size_t I = 0; I < Sites.size(); ++I) {
+
+  FoldSiteFixture() : Root(G.addTerm(Model)) {
+    G.rebuild();
+    Runner R(RunnerLimits{.IterLimit = 8, .NodeLimit = 60000,
+                          .TimeLimitSec = 30.0});
+    R.run(G, pipelineRules());
+  }
+
+  void insertSite(size_t I) {
     EClassId New = G.addTerm(Sites[I]);
     G.merge(Root, New);
     G.rebuild();
-    Engine.refresh();
-    expectKBestMatchesOracle(G, Engine, 5, "site " + std::to_string(I));
   }
+};
+
+} // namespace
+
+TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
+  // The synthesizer refreshes once per round, but the engine also
+  // supports refreshing after every mutation; replay that access pattern
+  // — create early, mutate, refresh, extract — against the fixed-point
+  // oracle after each step.
+  FoldSiteFixture F;
+  static const AstSizeCost Cost;
+  KBestExtractor Engine(F.G, Cost, 5);
+  expectKBestMatchesOracle(F.G, Engine, 5, "post-saturation");
+
+  for (size_t I = 0; I < F.Sites.size(); ++I) {
+    F.insertSite(I);
+    Engine.refresh();
+    expectKBestMatchesOracle(F.G, Engine, 5, "site " + std::to_string(I));
+  }
+}
+
+TEST(ExtractRefresh, OneRefreshAfterAllSitesMatchesOracle) {
+  // The synthesizer's pattern: the engine syncs with the saturated graph
+  // (as a snapshot capture does), every fold site inserts, and one
+  // refresh then walks the whole round's dirty log.
+  FoldSiteFixture F;
+  static const AstSizeCost Cost;
+  KBestExtractor Engine(F.G, Cost, 5);
+  for (size_t I = 0; I < F.Sites.size(); ++I)
+    F.insertSite(I);
+  Engine.refresh();
+  expectKBestMatchesOracle(F.G, Engine, 5, "after all sites");
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,9 @@
 // Table 1 model corpus, all three near-miss kinds (deeper fuel, cost
 // swap, localized numeric edit), and 1/2/4 runner threads, both at the
 // Synthesizer level (manual WarmStart plumbing) and end-to-end through
-// SynthesisService's snapshot tier.
+// SynthesisService's snapshot tier. It also pins that capturing a
+// snapshot (which moves when the extraction engine is derived) changes
+// no output.
 //
 //===----------------------------------------------------------------------===//
 
@@ -240,7 +242,34 @@ void checkEdit(size_t Threads) {
   }
 }
 
+/// A capture syncs the extraction engine before the solve so the snapshot
+/// can store it; every other run derives the engine once, after the
+/// solve. The two schedules must produce the same programs, cost bits,
+/// ranks and final graph. Plain builds run all 16 models, nintendo-slot
+/// and gear included (~10 s per thread count on 4 cores).
+void checkCaptureIsInvisible(size_t Threads) {
+  for (const models::BenchmarkModel &M : corpus()) {
+    SynthesisOptions Off = baseOptions(Threads);
+    Off.KeepGraphDump = true;
+    SynthesisOptions On = Off;
+    On.CaptureSnapshot = true;
+    SynthesisResult Plain = Synthesizer(Off).synthesize(M.FlatCsg);
+    SynthesisResult Captured = Synthesizer(On).synthesize(M.FlatCsg);
+    EXPECT_FALSE(Plain.Snapshot.Present) << M.Name;
+    EXPECT_TRUE(Captured.Snapshot.Present) << M.Name;
+    EXPECT_EQ(transcript(Plain), transcript(Captured)) << M.Name;
+    EXPECT_EQ(Plain.GraphDump, Captured.GraphDump) << M.Name;
+  }
+}
+
 } // namespace
+
+TEST(WarmStartTest, CaptureOnOffIdenticalOneThread) {
+  checkCaptureIsInvisible(1);
+}
+TEST(WarmStartTest, CaptureOnOffIdenticalFourThreads) {
+  checkCaptureIsInvisible(4);
+}
 
 TEST(WarmStartTest, DeeperFuelMatchesColdOneThread) { checkDeeperFuel(1); }
 TEST(WarmStartTest, DeeperFuelMatchesColdTwoThreads) { checkDeeperFuel(2); }

@@ -26,6 +26,21 @@ Besides each row's ``time_sec``, every field named in GATED_FIELDS (e.g.
 time in) gates with the same threshold and the same min-time floor — so
 only rows where that phase is above timer noise participate.
 
+``--against-best`` replaces the baseline directory with the committed
+history: each gated field of each row is compared with its minimum over
+every committed version of ``BENCH_<name>.json`` in the git checkout the
+tool runs in (``git log --format=%H -- BENCH_<name>.json`` plus ``git
+show``), so a slow drift across several changes fails even when each
+step stayed within the threshold of its parent. The row set is the
+newest committed version's:
+
+    python3 tools/bench_diff.py --against-best \
+        --current-dir build/bench-gate --benches table1,extract \
+        --per-bench table1=1.4,extract=1.45
+
+The committed points may come from other machines, so CI runs this mode
+as a report, not a gate; the ``bench_gate`` CMake target runs it locally.
+
 ``--markdown-out`` appends a GitHub-flavored markdown summary (one table
 per bench: baseline vs current time per row, ratio, verdict) to the given
 file — CI points it at the job summary page. See docs/BENCHMARKS.md for
@@ -38,6 +53,7 @@ Exit status: 0 when no regression, 1 on any regression or missing data,
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 # Fields that *identify* a row (which workload/config it measures). Every
@@ -51,10 +67,11 @@ IDENTITY_FIELDS = ("family", "n", "model", "kind", "iter", "rule")
 # current, and above the min-time floor). time_sec is the end-to-end row
 # time; rewrite_sec isolates the saturation phase so a rewrite-engine
 # regression on a tail model cannot hide behind an extraction win;
-# extract_sec and rewrite_apply_sec gate the two phases the multicore
-# pipeline parallelizes (wave-scheduled k-best refresh, conflict-
-# partitioned apply), so losing the parallel speedup is itself a
-# regression even when the row total stays within its threshold.
+# extract_sec gates the k-best engine, which a synthesis syncs once per
+# main-loop round, so redundant re-derivation shows up here even on rows
+# whose total stays within the threshold; rewrite_apply_sec
+# gates the conflict-partitioned parallel apply. Under --against-best
+# each of these is compared with its own best committed value.
 GATED_FIELDS = ("time_sec", "rewrite_sec", "extract_sec", "rewrite_apply_sec")
 
 
@@ -71,6 +88,66 @@ def row_key(row):
 def load(path):
     with open(path) as f:
         return json.load(f)
+
+
+def committed_history(fname):
+    """Every committed version of ./<fname> as parsed JSON, newest first.
+    Versions that do not parse (or commits that deleted the file) are
+    skipped."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], check=True, capture_output=True, text=True
+        ).stdout
+
+    versions = []
+    for sha in git("log", "--format=%H", "--", fname).split():
+        try:
+            versions.append((sha, json.loads(git("show", f"{sha}:./{fname}"))))
+        except (subprocess.CalledProcessError, json.JSONDecodeError):
+            continue
+    return versions
+
+
+def best_baseline(versions):
+    """A baseline built from committed history: the newest version's rows,
+    each gated field (and the total time_sec) replaced by its minimum over
+    all versions that have the row. Each row's "best_at" maps a field to
+    the short hash of the commit that holds its minimum."""
+
+    def positive(v):
+        return isinstance(v, (int, float)) and v > 0
+
+    seen = {}
+    for sha, doc in versions:
+        for row in doc.get("rows", []):
+            seen.setdefault(row_key(row), []).append((sha, row))
+    totals = [d["time_sec"] for _, d in versions if positive(d.get("time_sec"))]
+    best = {"rows": []}
+    if totals:
+        best["time_sec"] = min(totals)
+    for row in versions[0][1].get("rows", []):
+        history = seen[row_key(row)]
+        row = dict(row, best_at={})
+        for field in GATED_FIELDS:
+            points = [(r[field], sha) for sha, r in history
+                      if positive(r.get(field))]
+            if points:
+                value, sha = min(points)
+                row[field] = value
+                row["best_at"][field] = sha[:10]
+        best["rows"].append(row)
+    return best
+
+
+def load_baseline(args, fname):
+    """(where the baseline comes from, the baseline or None if absent)."""
+    if args.against_best:
+        versions = committed_history(fname)
+        where = f"git history of {fname}"
+        return where, best_baseline(versions) if versions else None
+    path = os.path.join(args.baseline_dir, fname)
+    return path, load(path) if os.path.exists(path) else None
 
 
 def compare_bench(name, baseline, current, threshold, min_time, report, md):
@@ -119,6 +196,9 @@ def compare_bench(name, baseline, current, threshold, min_time, report, md):
                     )
                 continue
             ratio = ct / bt
+            best_at = base_row.get("best_at", {}).get(field)
+            if best_at:
+                label += f" (best at {best_at})"
             if ratio > threshold:
                 report.append(
                     f"  REGRESSION [{name}] {label}: "
@@ -139,8 +219,16 @@ def compare_bench(name, baseline, current, threshold, min_time, report, md):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline-dir", required=True)
+    ap.add_argument("--baseline-dir")
     ap.add_argument("--current-dir", required=True)
+    ap.add_argument(
+        "--against-best",
+        action="store_true",
+        help="compare with the best committed value of each gated row "
+        "(git history of BENCH_<name>.json in the current directory) "
+        "instead of "
+        "--baseline-dir",
+    )
     ap.add_argument(
         "--benches",
         default="scaling,table1",
@@ -171,6 +259,9 @@ def main():
         "CI points it at $GITHUB_STEP_SUMMARY",
     )
     args = ap.parse_args()
+    if not args.against_best and not args.baseline_dir:
+        print("--baseline-dir is required without --against-best", file=sys.stderr)
+        return 2
 
     per_bench = {}
     for entry in [e.strip() for e in args.per_bench.split(",") if e.strip()]:
@@ -183,35 +274,39 @@ def main():
 
     ok = True
     report = []
-    md = [f"## Bench regression report (threshold {args.threshold:.2f}x)", ""]
+    against = "best committed point" if args.against_best else "baseline"
+    md = [f"## Bench regression report against the {against} "
+          f"(threshold {args.threshold:.2f}x)", ""]
     for name in [b.strip() for b in args.benches.split(",") if b.strip()]:
         fname = f"BENCH_{name}.json"
-        base_path = os.path.join(args.baseline_dir, fname)
         cur_path = os.path.join(args.current_dir, fname)
-        if not os.path.exists(base_path):
+        try:
+            base_path, baseline = load_baseline(args, fname)
+            current = load(cur_path) if os.path.exists(cur_path) else None
+        except (json.JSONDecodeError, OSError, subprocess.CalledProcessError) as e:
+            report.append(f"  UNREADABLE {name}: {e}")
+            md.append(f"- :x: unreadable `{name}`: {e}")
+            ok = False
+            continue
+        if baseline is None:
             report.append(f"  NO BASELINE for {name} ({base_path})")
             md.append(f"- :x: no baseline for `{name}`")
             ok = False
             continue
-        if not os.path.exists(cur_path):
+        if current is None:
             report.append(f"  NO CURRENT RESULT for {name} ({cur_path})")
             md.append(f"- :x: no current result for `{name}`")
             ok = False
             continue
-        try:
-            ok &= compare_bench(
-                name,
-                load(base_path),
-                load(cur_path),
-                per_bench.get(name, args.threshold),
-                args.min_time,
-                report,
-                md,
-            )
-        except (json.JSONDecodeError, OSError) as e:
-            report.append(f"  UNREADABLE {name}: {e}")
-            md.append(f"- :x: unreadable `{name}`: {e}")
-            ok = False
+        ok &= compare_bench(
+            name,
+            baseline,
+            current,
+            per_bench.get(name, args.threshold),
+            args.min_time,
+            report,
+            md,
+        )
 
     print("bench_diff report (threshold {:.2f}x):".format(args.threshold))
     for line in report:
