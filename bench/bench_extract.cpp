@@ -158,16 +158,14 @@ int main() {
 
   }
 
-  // Multicore pipeline phase 2: the conflict-partitioned apply and the
-  // wave-scheduled k-best derivation, serial vs 4 engine threads on the
-  // same workload (full saturation from scratch, then a from-scratch
-  // top-k derivation of the final graph). rewrite_apply_sec and
-  // extract_sec are gated fields in tools/bench_diff.py, so losing the
-  // parallel speedup fails CI even if row totals stay in bounds. This
-  // loop deliberately runs AFTER the per-model sections above: the rows
-  // up there predate it and gate against baselines measured without this
-  // extra workload in front of them — perturbing their warm-up state
-  // would read as a regression in code that did not change.
+  // Whole pipeline, serial vs 4 threads on the same workload (full
+  // saturation from scratch, then a from-scratch top-k derivation of the
+  // final graph). Only the search phase is parallel, so the par4 row
+  // means 4 search threads; apply and extraction run serially in both
+  // rows. This loop deliberately runs AFTER the per-model sections above:
+  // the rows up there predate it and gate against baselines measured
+  // without this extra workload in front of them — perturbing their
+  // warm-up state would read as a regression in code that did not change.
   std::printf("\n== Pipeline serial vs 4 threads ==\n");
   for (const char *Name : TailModels) {
     const BenchmarkModel M = modelByName(Name);
@@ -185,7 +183,7 @@ int main() {
       RunnerReport Rep = R2.run(GT, Rules);
       double SaturateSec = ApplyTimer.seconds();
       WallTimer ExtractTimer;
-      KBestExtractor KPar(GT, Cost, TopK, Threads);
+      KBestExtractor KPar(GT, Cost, TopK);
       double ExtractSec = ExtractTimer.seconds();
       std::vector<RankedTerm> Ranking = KPar.extract(RootT);
 

@@ -228,6 +228,7 @@ public:
 private:
   std::string_view Text;
   size_t Pos = 0;
+  size_t Depth = 1; ///< nesting level of the term being parsed (1 = top)
   std::string Diag;
 
   std::string errorAt(std::string_view Message) {
@@ -378,7 +379,14 @@ private:
         ++Pos;
         break;
       }
+      if (Depth == kMaxSourceDepth) {
+        Diag = errorAt("nesting deeper than " +
+                       std::to_string(kMaxSourceDepth));
+        return nullptr;
+      }
+      ++Depth;
       TermPtr Kid = parseTerm();
+      --Depth;
       if (!Kid)
         return nullptr;
       Children.push_back(std::move(Kid));

@@ -43,6 +43,12 @@ struct ParseResult {
   explicit operator bool() const { return Value != nullptr; }
 };
 
+/// Deepest nesting either source parser (parseSexp, scad::parseScad)
+/// accepts. Both recurse once per level, so a deeper source fails with a
+/// diagnostic instead of overflowing the stack; the corpus tops out near
+/// depth 65.
+constexpr size_t kMaxSourceDepth = 1000;
+
 /// Parses a single term from \p Text. Trailing whitespace is allowed;
 /// trailing non-whitespace is an error.
 ParseResult parseSexp(std::string_view Text);

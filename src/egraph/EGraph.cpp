@@ -101,51 +101,6 @@ std::pair<EClassId, bool> EGraph::merge(EClassId A, EClassId B) {
   return {A, true};
 }
 
-std::pair<EClassId, bool> EGraph::mergeDeferred(EClassId A, EClassId B,
-                                                MergeBatchLog &Log) {
-  A = UF.find(A);
-  B = UF.find(B);
-  if (A == B)
-    return {A, false};
-  // The planner only routes constant-free merges here: joining a folded
-  // constant runs the modify() hook (memo probe, op-index push, touch),
-  // all of which mutate state shared across partitions.
-  assert(!Classes[A]->Data.NumConst && !Classes[B]->Data.NumConst &&
-         "deferred merge of a constant-carrying class");
-
-  // Same orientation rule as merge(): keep the parent-heavier class as
-  // the root so repair revisits fewer entries.
-  if (Classes[A]->Parents.size() < Classes[B]->Parents.size())
-    std::swap(A, B);
-
-  UF.unite(A, B);
-  EClass &Root = *Classes[A];
-  std::unique_ptr<EClass> Loser = std::move(Classes[B]);
-
-  for (ENode &N : Loser->Nodes)
-    Root.Nodes.push_back(std::move(N));
-  for (auto &P : Loser->Parents)
-    Root.Parents.push_back(std::move(P));
-  bool DataChanged = joinData(Root.Data, Loser->Data);
-  assert(!DataChanged && "constant-free join changed analysis data");
-  (void)DataChanged;
-
-  // touch / Worklist / LiveClasses are the coordinator's job at commit.
-  Log.Merged.push_back(A);
-  return {A, true};
-}
-
-void EGraph::commitMergeLog(MergeBatchLog &Log) {
-  for (EClassId Id : Log.Merged) {
-    EClassId Canon = UF.find(Id);
-    touch(Canon);
-    Worklist.push_back(Canon);
-  }
-  assert(LiveClasses >= Log.Merged.size() && "merge log outruns live classes");
-  LiveClasses -= Log.Merged.size();
-  Log.clear();
-}
-
 void EGraph::rebuild() {
   while (!Worklist.empty()) {
     std::vector<EClassId> Todo;
@@ -359,20 +314,12 @@ void EGraph::releaseDirtyLease(uint64_t Lease) const {
 
 void EGraph::prepareForConcurrentReads() const {
   assert(!isDirty() && "prepare on an unrebuilt graph");
-  quiesceForReads();
-}
-
-void EGraph::quiesceForReads() const {
   if (PreparedGen == Gen)
     return;
   // Only the union-find needs quiescing: every write-capable const query
   // the concurrent readers use bottoms out in find()'s path halving,
   // which compressAll leaves nothing to do. The op-index and parent-index
   // compactions stay coordinator-only (see the header contract).
-  //
-  // The stamp invalidates correctly across deferred merges too: every
-  // graph-changing mergeDeferred is followed by a commitMergeLog touch,
-  // which bumps Gen before the next quiesce can observe a stale match.
   UF.compressAll();
   PreparedGen = Gen;
 }

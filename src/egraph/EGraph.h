@@ -71,23 +71,6 @@ struct EClass {
   AnalysisData Data;
 };
 
-/// Global side effects of a batch of deferred merges (mergeDeferred),
-/// buffered so workers touching disjoint class partitions never write the
-/// e-graph's shared bookkeeping. One log per partition; the coordinator
-/// replays them in deterministic partition order through commitMergeLog(),
-/// which is where generation stamps, repair-worklist entries, and the live
-/// class counter are assigned — so the dirty log is bit-identical at every
-/// thread count.
-struct MergeBatchLog {
-  /// Winner class id of each graph-changing union, in execution order.
-  /// Ids may be further re-canonicalized by later unions in the same
-  /// partition; commit re-finds them.
-  std::vector<EClassId> Merged;
-
-  bool empty() const { return Merged.empty(); }
-  void clear() { Merged.clear(); }
-};
-
 /// E-graph over the CAD operator vocabulary.
 class EGraph {
 public:
@@ -109,26 +92,6 @@ public:
   /// whether anything changed. Congruence is restored lazily: call rebuild()
   /// before reading the graph again.
   std::pair<EClassId, bool> merge(EClassId A, EClassId B);
-
-  /// merge() with the global side effects buffered into \p Log instead of
-  /// applied: no generation stamp, no repair-worklist entry, no live-class
-  /// counter update, no analysis hook. Writes are confined to the two
-  /// classes' slots and their union-find chains, so partitions of classes
-  /// with disjoint closures may run their mergeDeferred sequences on
-  /// separate threads concurrently (after quiesceForReads()). Requires
-  /// that neither endpoint carries a folded constant (Data.NumConst):
-  /// constant joins run the modify() hook, which mutates global state —
-  /// the apply planner routes such matches to the serial path instead.
-  std::pair<EClassId, bool> mergeDeferred(EClassId A, EClassId B,
-                                          MergeBatchLog &Log);
-
-  /// Replays a partition's buffered side effects on the coordinating
-  /// thread: stamps each union's winner at a fresh generation, queues it
-  /// for repair, and settles the live-class counter. Call once per
-  /// partition, in a deterministic partition order; the resulting dirty
-  /// log and worklist are then independent of how many threads executed
-  /// the partitions. Clears \p Log.
-  void commitMergeLog(MergeBatchLog &Log);
 
   /// Restores the congruence and hash-consing invariants after merges.
   void rebuild();
@@ -224,15 +187,6 @@ public:
   /// the Runner's phase 1a does). Amortized O(1): re-preparation after no
   /// mutations is a generation-stamp check. Requires a clean graph.
   void prepareForConcurrentReads() const;
-
-  /// prepareForConcurrentReads() without the clean-graph requirement: the
-  /// apply phase plans rule R+1's matches on a graph already dirtied by
-  /// rule R's merges (repair is deferred to the end of the iteration), and
-  /// the memo/union-find reads that planning performs — find(), lookup(),
-  /// data() — are exact on a dirty graph; only parent/op-index queries
-  /// (which planning does not use) need the rebuild. Same amortization:
-  /// a no-op while the generation is unchanged.
-  void quiesceForReads() const;
 
   /// The parent index of \p Id: (parent e-node, class containing it) pairs
   /// for every e-node that has \p Id among its children, canonicalized and

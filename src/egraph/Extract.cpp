@@ -607,9 +607,8 @@ TermPtr ReferenceExtractor::build(EClassId Id) const {
 //===----------------------------------------------------------------------===//
 
 KBestExtractor::KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
-                               size_t NumThreads)
-    : G(G), Fn(Fn), K(K), Threads(resolveThreads(NumThreads)),
-      OneBest(G, Fn) {
+                               size_t)
+    : G(G), Fn(Fn), K(K), OneBest(G, Fn) {
   assert(!G.isDirty() && "extraction on a dirty e-graph");
   assert(K >= 1 && "k must be positive");
   deriveFrom(G.classIds());
@@ -633,30 +632,19 @@ void KBestExtractor::refresh() {
     eraseStaleRows(G, Table);
 }
 
-namespace {
-
-/// Waves below this size run inline on the calling thread: dispatching a
-/// handful of combines costs more in wake-ups than it saves. A property of
-/// the wave (graph-dependent, not thread-count-dependent), so crossing it
-/// never changes results.
-constexpr size_t ParallelWaveThreshold = 64;
-
-} // namespace
-
 void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
-  // Wave-scheduled worklist (docs/ARCHITECTURE.md, "Parallel k-best
-  // extraction"). Each round selects the pending classes whose node
+  // Wave-scheduled worklist (docs/ARCHITECTURE.md, "K-best wave
+  // schedule"). Each round selects the pending classes whose node
   // children are all settled (children first, so the common acyclic case
   // recombines every class exactly once), sorts them by (one-best cost,
   // id), and recombines them against the *frozen* candidate table —
-  // combineClass is a pure function of (graph, table), so wave members
-  // can run on worker threads, each writing its own result slot. Commits
-  // then run serially in wave order, and parents of changed classes
-  // rejoin the pending set. The schedule is a pure function of the
-  // graph, so the table is bit-identical at every thread count; and
-  // because candidate lists improve monotonically toward a unique least
-  // fixpoint (the property the oracle differential tests pin), it agrees
-  // with the serial priority-queue engine it replaced.
+  // combineClass is a pure function of (graph, table), so each member's
+  // result is staged first. Commits then run in wave order, and parents of
+  // changed classes rejoin the pending set. Wave order fixes the order in
+  // which rows are interned, and so the row ids that snapshot blobs store;
+  // and because candidate lists improve monotonically toward a unique
+  // least fixpoint (the property the oracle differential tests pin), the
+  // result agrees with the priority-queue engine it replaced.
   //
   // Readiness is event-driven, not rescanned: a blocked class can only
   // become ready when a pending child commits (or when it is itself
@@ -699,11 +687,6 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
     enqueue(Id);
   if (NumPending == 0)
     return;
-
-  // Concurrent combines only read the graph through find()/eclass();
-  // compress the union-find once so those reads are write-free.
-  // (deriveFrom never mutates the graph, so this covers every wave.)
-  G.prepareForConcurrentReads();
 
   auto isReady = [&](EClassId Id) {
     for (const ENode &Node : G.eclass(Id).Nodes)
@@ -756,18 +739,11 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
     }
     CombinesLeft -= Wave.size();
 
+    // Every member combines against the table as it stood before the
+    // wave; results are staged and committed below, in wave order.
     Results.resize(Wave.size());
-    auto combineOne = [&](size_t I) {
+    for (size_t I = 0; I < Wave.size(); ++I)
       Results[I] = combineClass(Wave[I].second);
-    };
-    if (Threads > 1 && Wave.size() >= ParallelWaveThreshold) {
-      if (!Pool)
-        Pool = std::make_unique<WorkerPool>(Threads - 1);
-      Pool->run(Wave.size(), combineOne);
-    } else {
-      for (size_t I = 0; I < Wave.size(); ++I)
-        combineOne(I);
-    }
 
     // Commit in wave order. Members leave the pending set first so a
     // changed wave-mate that references them can re-enqueue them for the
@@ -783,14 +759,14 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
     for (size_t I = 0; I < Wave.size(); ++I) {
       EClassId Id = Wave[I].second;
       std::vector<CandRef> &Slot = Table[Id];
-      // Intern this member's rows now — the commit loop is the one serial
-      // writer of the row store, and wave order is a pure function of the
-      // graph, so row ids are identical at every thread count. Interning
-      // an unchanged candidate is a dedup hit, not growth — and the
-      // steady state of a refresh re-derives exactly the previous list,
-      // so each pending row is first checked against the same position
-      // of the previous list (operator + kid row ids is full structural
-      // identity), skipping the hash probe entirely on a match.
+      // Intern this member's rows now — the commit loop is the one writer
+      // of the row store, and wave order is a pure function of the graph,
+      // so row ids are reproducible. Interning an unchanged candidate is
+      // a dedup hit, not growth — and the steady state of a refresh
+      // re-derives exactly the previous list, so each pending row is first
+      // checked against the same position of the previous list (operator
+      // + kid row ids is full structural identity), skipping the hash
+      // probe entirely on a match.
       NewList.clear();
       NewList.reserve(Results[I].size());
       for (size_t C = 0; C < Results[I].size(); ++C) {
@@ -1177,20 +1153,18 @@ std::string KBestExtractor::saveState() const {
 }
 
 KBestExtractor::KBestExtractor(Extractor::RestoreTag Tag, const EGraph &G,
-                               const CostFn &Fn, size_t K, size_t NumThreads)
-    : G(G), Fn(Fn), K(K), Threads(resolveThreads(NumThreads)),
-      OneBest(Tag, G, Fn) {
+                               const CostFn &Fn, size_t K)
+    : G(G), Fn(Fn), K(K), OneBest(Tag, G, Fn) {
   SyncedGen = G.generation();
   DirtyLease = G.acquireDirtyLease(SyncedGen);
 }
 
 std::unique_ptr<KBestExtractor>
 KBestExtractor::restore(const EGraph &G, const CostFn &Fn, size_t K,
-                        size_t NumThreads, std::string_view Bytes,
-                        std::string &Err) {
+                        std::string_view Bytes, std::string &Err) {
   assert(K >= 1 && "k must be positive");
   std::unique_ptr<KBestExtractor> E(
-      new KBestExtractor(Extractor::RestoreTag{}, G, Fn, K, NumThreads));
+      new KBestExtractor(Extractor::RestoreTag{}, G, Fn, K));
   Err = E->restoreState(Bytes);
   if (!Err.empty())
     return nullptr;

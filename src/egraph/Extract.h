@@ -41,7 +41,6 @@
 #define SHRINKRAY_EGRAPH_EXTRACT_H
 
 #include "egraph/EGraph.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <limits>
@@ -232,19 +231,16 @@ struct ExtractCandidate {
 /// is (operator, child row ids), hashconsed per engine, so a candidate in
 /// the table is just (cost, row id) and row-id equality is structural
 /// equality of candidate programs. Recombination reads and produces row
-/// ids; rows are interned only at the serial commit of each wave (worker
-/// threads never touch the store), and real TermPtrs materialize only in
-/// extract()/saveState(). Row ids are allocated in wave-commit order — a
-/// pure function of the graph — so the table stays bit-identical at every
-/// thread count.
+/// ids; rows are interned only at the commit of each wave, and real
+/// TermPtrs materialize only in extract()/saveState(). Row ids are
+/// allocated in wave-commit order — a pure function of the graph — so
+/// snapshot blobs, which store row ids, are reproducible.
 class KBestExtractor {
 public:
-  /// \p NumThreads: engine threads for the wave-scheduled recombination
-  /// (see deriveFrom). 1 = serial; 0 = auto (resolveThreads). The wave
-  /// schedule is a pure function of the graph, so any value produces
-  /// bit-identical candidate tables.
+  /// The trailing thread count is ignored (the engine is serial); it is
+  /// kept so existing four-argument callers still compile.
   KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
-                 size_t NumThreads = 1);
+                 size_t /*IgnoredNumThreads*/ = 1);
 
   /// Serializes the engine (one-best section plus the candidate table,
   /// terms encoded once through a shared structure pool) for the service
@@ -254,12 +250,11 @@ public:
   /// incrementally instead of re-deriving the whole table.
   std::string saveState() const;
 
-  /// Rebuilds an engine from saveState() bytes. \p K and \p NumThreads
-  /// must match the request (the stored K is validated; thread count is
-  /// free — the table is thread-invariant). Returns nullptr and sets
-  /// \p Err on any validation failure.
+  /// Rebuilds an engine from saveState() bytes. \p K must match the
+  /// request (the stored K is validated). Returns nullptr and sets \p Err
+  /// on any validation failure.
   static std::unique_ptr<KBestExtractor>
-  restore(const EGraph &G, const CostFn &Fn, size_t K, size_t NumThreads,
+  restore(const EGraph &G, const CostFn &Fn, size_t K,
           std::string_view Bytes, std::string &Err);
 
   /// Releases the engine's dirty-log lease; see Extractor.
@@ -295,9 +290,8 @@ private:
     double Cost;
     uint32_t Row;
   };
-  /// A recombination result before its row is interned: produced on
-  /// worker threads (which must not mutate the row store), interned at
-  /// the serial wave commit.
+  /// A recombination result before its row is interned: staged while the
+  /// wave combines against the frozen table, interned at the wave commit.
   struct PendingCand {
     double Cost;
     size_t ValueHash;
@@ -308,13 +302,11 @@ private:
   const EGraph &G;
   const CostFn &Fn;
   size_t K;
-  size_t Threads;    ///< resolved engine thread count (1 = serial)
   Extractor OneBest; ///< processing priority + refresh seed costs
   uint64_t SyncedGen = 0;
   uint64_t DirtyLease = 0; ///< see Extractor::DirtyLease
   std::unordered_map<EClassId, std::vector<CandRef>> Table;
-  /// The row store: append-only, immutable once written (worker threads
-  /// read committed rows lock-free during a wave), deduplicated through
+  /// The row store: append-only, immutable once written, deduplicated through
   /// RowIndex so structurally equal candidates share one row id.
   std::vector<CandRow> Rows;
   std::vector<uint32_t> RowKids;
@@ -332,25 +324,22 @@ private:
   /// Lazy row -> term materializations (extract()/saveState() only).
   /// Never invalidated: rows are immutable.
   mutable std::unordered_map<uint32_t, TermPtr> RowTerms;
-  /// Created lazily by the first wave large enough to dispatch; graphs
-  /// that never produce such a wave never start a thread.
-  std::unique_ptr<WorkerPool> Pool;
 
   KBestExtractor(Extractor::RestoreTag, const EGraph &G, const CostFn &Fn,
-                 size_t K, size_t NumThreads);
+                 size_t K);
   std::string restoreState(std::string_view Bytes);
 
   void deriveFrom(const std::vector<EClassId> &Seeds);
 
   /// Interns (O, Kids[0..N)) in the row store; \p ValueHash must equal
-  /// termValueHashNode(O, kid value hashes). Serial-only (commit path).
+  /// termValueHashNode(O, kid value hashes). Called from the wave commit.
   uint32_t internRow(const Op &O, const uint32_t *Kids, size_t N,
                      size_t ValueHash);
   /// Value-level equality of two rows (the row analogue of
-  /// termApproxEquals at Eps 0). Read-only; safe on worker threads.
+  /// termApproxEquals at Eps 0). Read-only.
   bool rowValueEq(uint32_t A, uint32_t B) const;
   /// Recomputes the up-to-k cheapest distinct candidates of \p Id from
-  /// the frozen table. Pure reader of engine state; safe on workers.
+  /// the frozen table. Pure reader of engine state.
   std::vector<PendingCand> combineClass(EClassId Id) const;
   /// Builds the term a row denotes (iterative, memoized in RowTerms).
   TermPtr materializeRow(uint32_t Row) const;

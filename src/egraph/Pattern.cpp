@@ -252,29 +252,3 @@ EClassId Pattern::instantiate(EGraph &G, const Subst &S) const {
   };
   return Builder{G, S}.rec(Root);
 }
-
-std::optional<EClassId> Pattern::resolve(const EGraph &G,
-                                         const Subst &S) const {
-  // Mirrors instantiate()'s Builder, with G.add replaced by the const
-  // memo probe: add() canonicalizes and looks the node up before creating
-  // anything, so on the all-hits path both walks visit the same nodes and
-  // return the same class.
-  struct Resolver {
-    const EGraph &G;
-    const Subst &S;
-    std::optional<EClassId> rec(const TermPtr &Pat) {
-      if (Pat->kind() == OpKind::PatVar)
-        return S[Pat->op().symbol()];
-      std::vector<EClassId> Kids;
-      Kids.reserve(Pat->numChildren());
-      for (const TermPtr &Kid : Pat->children()) {
-        std::optional<EClassId> K = rec(Kid);
-        if (!K)
-          return std::nullopt;
-        Kids.push_back(*K);
-      }
-      return G.lookup(ENode(Pat->op(), std::move(Kids)));
-    }
-  };
-  return Resolver{G, S}.rec(Root);
-}

@@ -230,14 +230,6 @@ public:
   /// the class of the instantiated root. All variables must be bound.
   EClassId instantiate(EGraph &G, const Subst &S) const;
 
-  /// Read-only mirror of instantiate(): resolves the pattern under \p S
-  /// through the hash-cons memo alone. Returns the class instantiate()
-  /// would return when every node of the instantiated term already exists
-  /// in \p G, and nullopt the moment any node is absent (instantiation
-  /// would have to create it). Never mutates the graph, so it is safe to
-  /// call concurrently from apply-planning workers after quiesceForReads().
-  std::optional<EClassId> resolve(const EGraph &G, const Subst &S) const;
-
 private:
   TermPtr Root;
   std::vector<Symbol> Vars;

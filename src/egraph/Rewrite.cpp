@@ -60,23 +60,6 @@ Rewrite::ApplyOutcome Rewrite::applyMatch(EGraph &G, EClassId Root,
                                    : ApplyOutcome::Unchanged;
 }
 
-Rewrite::MatchPlan Rewrite::planMatch(const EGraph &G, EClassId Root,
-                                      const Subst &S) const {
-  MatchPlan Plan;
-  if (Apply)
-    return Plan; // NeedsApplier
-  assert(Rhs && "rewrite has neither an RHS pattern nor an applier");
-  std::optional<EClassId> Resolved = Rhs->resolve(G, S);
-  if (!Resolved) {
-    Plan.K = MatchPlan::Kind::NeedsNodes;
-    return Plan;
-  }
-  Plan.RhsClass = *Resolved;
-  Plan.K = *Resolved == G.find(Root) ? MatchPlan::Kind::MemoHit
-                                     : MatchPlan::Kind::PureMerge;
-  return Plan;
-}
-
 size_t Rewrite::run(EGraph &G) const {
   size_t Changed = 0;
   for (const auto &[Root, S] : search(G))

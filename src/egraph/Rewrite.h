@@ -84,34 +84,6 @@ public:
   /// this distinction.
   ApplyOutcome applyMatch(EGraph &G, EClassId Root, const Subst &S) const;
 
-  /// What applying a match would do, decided by pure const reads — the
-  /// plan phase of the Runner's conflict-partitioned apply scheduler.
-  struct MatchPlan {
-    enum class Kind : uint8_t {
-      /// The rule's RHS is programmatic (an Applier lambda that may add
-      /// nodes) — unplannable without running it. Serial path.
-      NeedsApplier,
-      /// Some node of the instantiated RHS is absent from the memo:
-      /// applying would create nodes (memo/op-index/class-table writes).
-      /// Serial path.
-      NeedsNodes,
-      /// RHS resolves to the match root: the merge is a guaranteed no-op.
-      /// Still recorded in the applied memo, but conflicts with nothing.
-      MemoHit,
-      /// RHS resolves to an existing class distinct from the root: a pure
-      /// merge of two known classes. Eligible for concurrent execution
-      /// when its conflict closure is disjoint from every other match's.
-      PureMerge,
-    };
-    Kind K = Kind::NeedsApplier;
-    EClassId RhsClass = 0; ///< resolved RHS class (MemoHit / PureMerge)
-  };
-
-  /// Plans one match against the current graph without mutating it.
-  /// Exact on a dirty graph (find/lookup do not require rebuild); call
-  /// EGraph::quiesceForReads() first when planning from worker threads.
-  MatchPlan planMatch(const EGraph &G, EClassId Root, const Subst &S) const;
-
   /// Convenience: search + apply all + rebuild. Returns number of changes.
   size_t run(EGraph &G) const;
 

@@ -2,7 +2,6 @@
 
 #include "egraph/Runner.h"
 
-#include "egraph/ApplyPlan.h"
 #include "egraph/SnapshotCodec.h"
 #include "support/ThreadPool.h"
 
@@ -36,15 +35,6 @@ struct MatchKeyHash {
 };
 
 using AppliedMemo = std::unordered_set<std::vector<EClassId>, MatchKeyHash>;
-
-/// One post-memo match surviving the apply planner: its position in the
-/// rule's match list, what applying it would do, and its frozen
-/// applied-memo key (canonical as of the plan snapshot).
-struct PlannedMatch {
-  uint32_t Idx = 0;
-  Rewrite::MatchPlan Plan;
-  std::vector<EClassId> Key;
-};
 
 } // namespace
 
@@ -150,16 +140,8 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
   std::vector<uint64_t> CursorBefore;
   std::vector<char> EverBefore;
 
-  // Apply-scheduler scratch, likewise hoisted: per-rule plan output,
-  // plan-local dedup set, conflict closures, serial-tail indices, and the
-  // per-partition merge logs / per-match change flags.
+  // Applied-memo key scratch, likewise hoisted.
   std::vector<EClassId> Key;
-  std::vector<PlannedMatch> Surviving;
-  AppliedMemo PlanSeen;
-  std::vector<MatchClosure> Closures;
-  std::vector<uint32_t> SerialTail;
-  std::vector<MergeBatchLog> Logs;
-  std::vector<char> MergeChanged;
 
   G.rebuild();
   for (size_t Iter = StartIter; Iter < Limits.IterLimit; ++Iter) {
@@ -359,27 +341,16 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
       }
     Stats.SearchSec = secondsSince(SearchStart);
 
-    // Phase 2: apply everything not yet in the applied memo, then restore
-    // invariants once. Each rule runs a plan -> partition -> execute ->
-    // commit schedule (docs/ARCHITECTURE.md, "Conflict-partitioned
-    // apply"): a serial plan pass over the frozen graph canonicalizes
-    // applied-memo keys and classifies every match by pure const reads;
-    // matches that reduce to merges of existing constant-free classes are
-    // partitioned by conflict-closure overlap and executed concurrently
-    // (deferred merges, global side effects committed in deterministic
-    // partition order); node-creating and programmatic matches run
-    // serially afterwards, in match order. The whole schedule is a pure
-    // function of the frozen graph, so the resulting e-graph — dirty log,
-    // worklist, and all — is bit-identical at every thread count.
+    // Phase 2 (serial): apply everything not yet in the applied memo, in
+    // rule order and match order, then restore invariants once (egg's
+    // deferred rebuild). Memo keys are canonicalized at apply time, so a
+    // re-found match whose merge already happened costs one hash probe.
     //
-    // The windowed backoff trigger survives by demotion: when a rule's
-    // surviving matches could cross MatchLimit mid-apply, the whole rule
-    // runs through the original serial loop, which bans it at the
-    // crossing merge, discards its remaining matches, and rolls its
-    // cursor back to the pre-search value — so the discarded matches are
-    // re-found after the ban (dirtiness is monotone) instead of being
-    // lost. When demotion does not fire, the window provably cannot
-    // cross the limit and the partitioned path never needs to ban.
+    // The windowed backoff trigger fires mid-apply: the merge that pushes a
+    // rule's incremental streak past MatchLimit bans the rule, discards its
+    // remaining matches, and rolls its cursor back to the pre-search value
+    // — so the discarded matches are re-found after the ban (dirtiness is
+    // monotone) instead of being lost.
     const auto ApplyStart = Clock::now();
     for (size_t R = 0; R < NumRules; ++R) {
       if (AllMatches[R].empty())
@@ -387,160 +358,36 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
       RuleStats &RS = Report.Rules[R];
       const auto RuleApplyStart = Clock::now();
       const std::vector<Symbol> &Vars = Rules[R].lhs().vars();
-
-      // Plan (serial, frozen snapshot). Earlier rules' merges have
-      // dirtied the graph, but the reads planning performs — find(),
-      // lookup(), data() — are exact on a dirty graph;
-      // quiesceForReads() compresses the union-find so the execute
-      // phase's concurrent reads below are write-free. A key already in
-      // the applied memo, or seen earlier in this plan, names merge
-      // endpoints that are (or are about to be) equal, so dropping the
-      // match is exact, not just an optimization heuristic.
-      G.quiesceForReads();
-      Surviving.clear();
-      PlanSeen.clear();
-      for (uint32_t MI = 0; MI < AllMatches[R].size(); ++MI) {
-        const auto &[Root, S] = AllMatches[R][MI];
+      bool WindowBan = false;
+      for (const auto &[Root, S] : AllMatches[R]) {
         Key.clear();
         Key.push_back(G.find(Root));
         for (Symbol V : Vars)
           Key.push_back(G.find(S[V]));
         if (Applied[R].find(Key) != Applied[R].end())
           continue; // already merged: re-applying cannot change the graph
-        if (!PlanSeen.insert(Key).second)
-          continue; // duplicate frozen key: identical merge endpoints
-        Surviving.push_back({MI, Rules[R].planMatch(G, Root, S), Key});
-      }
-
-      if (WindowMerged[R] + Surviving.size() > Limits.MatchLimit) {
-        // Demoted: the original serial loop with live keys and the
-        // mid-apply ban. (Phase 1c already capped raw match counts at
-        // MatchLimit, so demotion fires only mid-streak, when the window
-        // is already part-consumed.)
-        bool WindowBan = false;
-        for (const auto &[Root, S] : AllMatches[R]) {
-          Key.clear();
-          Key.push_back(G.find(Root));
-          for (Symbol V : Vars)
-            Key.push_back(G.find(S[V]));
-          if (Applied[R].find(Key) != Applied[R].end())
-            continue;
-          Rewrite::ApplyOutcome Outcome = Rules[R].applyMatch(G, Root, S);
-          if (Outcome == Rewrite::ApplyOutcome::Skipped)
-            continue; // applier declined: retry later
-          Applied[R].insert(Key);
-          ++Stats.SerialMatches;
-          if (Outcome == Rewrite::ApplyOutcome::Changed) {
-            ++Stats.Applied;
-            ++RS.Applied;
-            if (++WindowMerged[R] > Limits.MatchLimit) {
-              WindowBan = true;
-              break;
-            }
-          }
-        }
-        if (WindowBan) {
-          // Ban starts next iteration and doubles like the search
-          // trigger.
-          BannedUntil[R] = Iter + 1 + BanLength[R];
-          BanLength[R] *= 2;
-          WindowMerged[R] = 0;
-          ++RS.Bans;
-          LastSearchGen[R] = CursorBefore[R];
-          EverSearched[R] = EverBefore[R];
-        }
-        RS.ApplySec += secondsSince(RuleApplyStart);
-        continue;
-      }
-
-      // Classify survivors. Pure merges of constant-free classes go to
-      // the partitioner (closure: frozen root + bound classes + resolved
-      // RHS class); plan-level memo hits are recorded without touching
-      // the graph; everything else — node-creating instantiations,
-      // programmatic appliers, constant-carrying merges (whose analysis
-      // join runs the modify() hook, a global mutation) — joins the
-      // serial tail.
-      Closures.clear();
-      SerialTail.clear();
-      size_t RuleChanged = 0;
-      for (uint32_t SI = 0; SI < Surviving.size(); ++SI) {
-        PlannedMatch &PM = Surviving[SI];
-        switch (PM.Plan.K) {
-        case Rewrite::MatchPlan::Kind::MemoHit:
-          Applied[R].insert(PM.Key);
-          break;
-        case Rewrite::MatchPlan::Kind::PureMerge: {
-          EClassId RhsC = G.find(PM.Plan.RhsClass);
-          if (G.data(PM.Key[0]).NumConst || G.data(RhsC).NumConst) {
-            SerialTail.push_back(SI);
-            break;
-          }
-          MatchClosure MC;
-          MC.MatchIdx = SI;
-          MC.Classes = PM.Key; // frozen root + bound classes (canonical)
-          MC.Classes.push_back(RhsC);
-          Closures.push_back(std::move(MC));
-          break;
-        }
-        case Rewrite::MatchPlan::Kind::NeedsNodes:
-        case Rewrite::MatchPlan::Kind::NeedsApplier:
-          SerialTail.push_back(SI);
-          break;
-        }
-      }
-
-      // Execute: partitions run concurrently, each buffering its global
-      // side effects in its own merge log and writing change flags to
-      // disjoint slots; merges inside one partition run in match order.
-      const std::vector<ApplyPartition> Parts = partitionMatches(Closures);
-      Logs.assign(Parts.size(), MergeBatchLog{});
-      MergeChanged.assign(Surviving.size(), 0);
-      auto execPartition = [&](size_t PI) {
-        MergeBatchLog &Log = Logs[PI];
-        for (uint32_t SI : Parts[PI].Matches) {
-          const PlannedMatch &PM = Surviving[SI];
-          EClassId Root = AllMatches[R][PM.Idx].first;
-          if (G.mergeDeferred(Root, PM.Plan.RhsClass, Log).second)
-            MergeChanged[SI] = 1;
-        }
-      };
-      if (Threads > 1 && Parts.size() > 1)
-        Pool.run(Parts.size(), execPartition);
-      else
-        for (size_t PI = 0; PI < Parts.size(); ++PI)
-          execPartition(PI);
-
-      // Commit (serial): replay each partition's buffered side effects
-      // in partition order — generation stamps, worklist entries, and
-      // the live-class counter land identically at every thread count.
-      for (MergeBatchLog &Log : Logs)
-        G.commitMergeLog(Log);
-      for (const MatchClosure &MC : Closures) {
-        Applied[R].insert(Surviving[MC.MatchIdx].Key);
-        if (MergeChanged[MC.MatchIdx])
-          ++RuleChanged;
-      }
-      Stats.ApplyPartitions += Parts.size();
-      Stats.ParallelMatches += Closures.size();
-
-      // Serial tail, in match order, after the partitions committed.
-      for (uint32_t SI : SerialTail) {
-        const PlannedMatch &PM = Surviving[SI];
-        const auto &M = AllMatches[R][PM.Idx];
-        Rewrite::ApplyOutcome Outcome =
-            Rules[R].applyMatch(G, M.first, M.second);
+        Rewrite::ApplyOutcome Outcome = Rules[R].applyMatch(G, Root, S);
         if (Outcome == Rewrite::ApplyOutcome::Skipped)
           continue; // applier declined: retry later
-        ++Stats.SerialMatches;
-        Applied[R].insert(PM.Key);
-        if (Outcome == Rewrite::ApplyOutcome::Changed)
-          ++RuleChanged;
+        Applied[R].insert(Key);
+        if (Outcome == Rewrite::ApplyOutcome::Changed) {
+          ++Stats.Applied;
+          ++RS.Applied;
+          if (++WindowMerged[R] > Limits.MatchLimit) {
+            WindowBan = true;
+            break;
+          }
+        }
       }
-
-      // No ban can fire here: WindowMerged + |Surviving| <= MatchLimit.
-      WindowMerged[R] += RuleChanged;
-      Stats.Applied += RuleChanged;
-      RS.Applied += RuleChanged;
+      if (WindowBan) {
+        // Ban starts next iteration and doubles like the search trigger.
+        BannedUntil[R] = Iter + 1 + BanLength[R];
+        BanLength[R] *= 2;
+        WindowMerged[R] = 0;
+        ++RS.Bans;
+        LastSearchGen[R] = CursorBefore[R];
+        EverSearched[R] = EverBefore[R];
+      }
       RS.ApplySec += secondsSince(RuleApplyStart);
     }
     Stats.ApplySec = secondsSince(ApplyStart);

@@ -31,7 +31,9 @@
 /// EGraph::prepareForConcurrentReads() is called first so the lazy indexes
 /// (union-find path compression, op-index buckets) are quiescent.
 ///
-/// Phase 2 keeps an applied-match memo per rule: a (root, substitution)
+/// Phase 2 (apply) is serial: matches merge in rule order and match order,
+/// and congruence is restored by one rebuild at the end of the iteration.
+/// It keeps an applied-match memo per rule: a (root, substitution)
 /// pair that already merged is never re-instantiated, so re-found matches
 /// (full-search fallbacks, overlapping dirty closures) cost one hash probe
 /// instead of rebuilding their right-hand sides. The memo also feeds the
@@ -96,17 +98,8 @@ struct IterationStats {
   size_t Classes = 0;   ///< e-classes after the iteration
   double Seconds = 0.0; ///< wall time of this iteration (search+apply+rebuild)
   double SearchSec = 0.0;  ///< phase 1: candidate prep + group searches
-  double ApplySec = 0.0;   ///< phase 2: plan + partitioned merges + serial tail
+  double ApplySec = 0.0;   ///< phase 2: serial merges in rule/match order
   double RebuildSec = 0.0; ///< invariant restoration + log compaction
-  // Apply-scheduler breakdown (see docs/ARCHITECTURE.md, "Conflict-
-  // partitioned apply"): how the iteration's post-memo matches were
-  // executed. All three are pure functions of the graph — identical at
-  // every thread count. Serial matches cover node-creating
-  // instantiations, programmatic appliers, constant-carrying merges, and
-  // demoted rules.
-  size_t ApplyPartitions = 0; ///< conflict groups emitted by the partitioner
-  size_t ParallelMatches = 0; ///< matches executed on the partitioned path
-  size_t SerialMatches = 0;   ///< matches executed on the serial path
 };
 
 /// Per-rule statistics accumulated across the whole run, so regressions in
@@ -134,8 +127,9 @@ struct RuleStats {
 /// the same mutation sequence, so class ids, node orders, dirty log, and
 /// therefore extraction all agree. The applied-match memo is deliberately
 /// *not* part of the state: a re-found match whose merge already happened
-/// plans to a memo hit or re-applies as a no-change merge, neither of which
-/// perturbs the graph — the memo is a cost optimization, not semantics.
+/// re-applies as a no-change merge (its right-hand side hash-conses to
+/// existing nodes), which does not perturb the graph — the memo is a cost
+/// optimization, not semantics.
 ///
 /// `BannedUntil` values are absolute iteration indices, which is why
 /// `IterationsDone` is part of the state: resume continues the iteration

@@ -2,6 +2,7 @@
 
 #include "scad/ScadParser.h"
 
+#include "cad/Sexp.h"
 #include "linalg/Vec3.h"
 
 #include <cctype>
@@ -174,6 +175,22 @@ private:
   std::map<std::string, ScadValue> Vars;
   int ExternalCount = 0;
 
+  size_t Depth = 0; ///< statements + expressions enclosing the parse point
+
+  /// Counts one nesting level for its scope. Statements and expressions
+  /// recurse once per level, so a source nested past kMaxSourceDepth
+  /// fails with a diagnostic instead of overflowing the stack.
+  struct Nesting {
+    size_t &Depth;
+    explicit Nesting(size_t &D) : Depth(++D) {}
+    ~Nesting() { --Depth; }
+    bool tooDeep() const { return Depth > kMaxSourceDepth; }
+  };
+
+  bool failTooDeep() {
+    return fail("nesting deeper than " + std::to_string(kMaxSourceDepth));
+  }
+
   bool fail(const std::string &Message) {
     if (Diag.empty()) {
       std::ostringstream Os;
@@ -193,6 +210,11 @@ private:
   // --- expressions ------------------------------------------------------
 
   std::optional<ScadValue> parsePrimary() {
+    Nesting Level(Depth);
+    if (Level.tooDeep()) {
+      failTooDeep();
+      return std::nullopt;
+    }
     const Token &T = Lex.peek();
     if (T.Kind == TokKind::Number) {
       double D = Lex.take().Num;
@@ -403,6 +425,9 @@ private:
   }
 
   bool parseStatement(std::vector<TermPtr> &Out) {
+    Nesting Level(Depth);
+    if (Level.tooDeep())
+      return failTooDeep();
     if (Lex.atPunct(';')) { // stray semicolon
       Lex.take();
       return true;

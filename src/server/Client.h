@@ -7,8 +7,8 @@
 /// \file
 /// Client half of the JSONL RPC protocol: a blocking TCP connection that
 /// sends one request line and reads one response line per call(). Shared
-/// by tools/shrinkray_client, shrinkray_batch's -connect mode, and
-/// bench_service's load-generator threads.
+/// by shrinkray_batch's -connect mode and bench_service's load-generator
+/// threads.
 ///
 /// submitAndWait() is the convenience most callers want: it submits with
 /// retry-on-backpressure (sleeping out `rejected: quota` retry hints,

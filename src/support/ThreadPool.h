@@ -5,11 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fixed worker pool shared by every parallel phase of the pipeline:
-/// the Runner's group searches and conflict-partitioned applies, and the
-/// k-best extractor's wave-sharded refresh. It began life as the Runner's
-/// private SearchPool (PR 4) and was hoisted here unchanged when the apply
-/// and extract phases gained parallel schedulers of their own.
+/// The fixed worker pool behind the pipeline's one parallel phase, the
+/// Runner's sharded group searches (apply and extraction are serial).
 ///
 /// Determinism contract: run() hands out task indices through one atomic
 /// cursor, so whichever thread is free takes the next index — but tasks
@@ -35,8 +32,8 @@ namespace shrinkray {
 
 /// Number of engine threads (including the calling thread) for a
 /// configured limit. 0 = auto: small and fixed, capped at 4 — the parallel
-/// units (root-op groups, apply partitions, extraction waves) are coarse,
-/// and more threads than units only adds wake-up latency.
+/// units (root-op groups) are coarse, and more threads than units only
+/// adds wake-up latency.
 inline size_t resolveThreads(size_t Configured) {
   if (Configured != 0)
     return Configured;

@@ -151,7 +151,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       std::string Err;
       Extraction =
           KBestExtractor::restore(G, costFn(Opts.Cost), Opts.TopK,
-                                  Opts.Limits.NumThreads, W->Extract, Err);
+                                  W->Extract, Err);
     }
     Result.Stats.WarmSkippedIters = Cursors.IterationsDone;
     Result.Stats.WarmRestoreSeconds =
@@ -203,8 +203,8 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   auto syncExtraction = [&] {
     const auto ExtractStart = Clock::now();
     if (!Extraction)
-      Extraction = std::make_unique<KBestExtractor>(
-          G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads);
+      Extraction =
+          std::make_unique<KBestExtractor>(G, costFn(Opts.Cost), Opts.TopK);
     else
       Extraction->refresh();
     Result.Stats.ExtractSeconds +=

@@ -120,6 +120,44 @@ TEST(ScadParseTest, Errors) {
   EXPECT_FALSE(parseScad("union() { cube(1); "));       // unterminated
 }
 
+namespace {
+
+/// \p N nested `union() { ... }` blocks around one cube.
+std::string nestedUnionBlocks(size_t N) {
+  std::string S;
+  for (size_t I = 0; I < N; ++I)
+    S += "union() { ";
+  S += "cube(1);";
+  for (size_t I = 0; I < N; ++I)
+    S += " }";
+  return S;
+}
+
+} // namespace
+
+TEST(ScadParseTest, NestingIsBoundedByMaxSourceDepth) {
+  EXPECT_TRUE(termApproxEquals(parseOk(nestedUnionBlocks(64)),
+                               parseOk("cube(1);"), 1e-12));
+  ScadResult Deep = parseScad(nestedUnionBlocks(20000));
+  ASSERT_FALSE(Deep);
+  EXPECT_NE(Deep.Error.find("nesting deeper than"), std::string::npos)
+      << Deep.Error;
+  // Expressions recurse too: parentheses and unary minus.
+  for (const char *Open : {"(", "-"}) {
+    std::string Src = "x = ";
+    for (int I = 0; I < 20000; ++I)
+      Src += Open;
+    Src += "1";
+    if (*Open == '(')
+      Src += std::string(20000, ')');
+    Src += "; cube(x);";
+    ScadResult R = parseScad(Src);
+    ASSERT_FALSE(R) << Open;
+    EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos)
+        << R.Error;
+  }
+}
+
 TEST(ScadParseTest, GearProgramFlattens) {
   // An OpenSCAD gear rim like the Thingiverse models the paper flattened.
   const char *Src = R"(

@@ -315,6 +315,29 @@ TEST(ServerFrameTest, SubmitWithBadSourceFailsTheJobNotTheServer) {
   submitAndWaitFrame(S, Sess, "after-bad-source");
 }
 
+TEST(ServerFrameTest, SubmitWithTooDeepSourceFailsTheJobNotTheServer) {
+  // 20000 nested Unions: the parser refuses it with a diagnostic instead
+  // of recursing once per level and overflowing a worker's stack.
+  std::string Deep;
+  for (int I = 0; I < 20000; ++I)
+    Deep += "(Union ";
+  Deep += "Unit";
+  for (int I = 0; I < 20000; ++I)
+    Deep += " Unit)";
+  Server S(quickConfig());
+  Server::Session Sess;
+  JsonValue Submitted = parsed(S.handleFrame(Sess, submitFrame("deep", Deep)));
+  ASSERT_TRUE(okOf(Submitted));
+  uint64_t Job = static_cast<uint64_t>(Submitted.get("job")->asNumber());
+  JsonValue Done = parsed(S.handleFrame(Sess, waitFrame(Job)));
+  EXPECT_TRUE(okOf(Done));
+  EXPECT_EQ(Done.get("status")->asString(), "failed");
+  EXPECT_NE(Done.get("error")->asString().find("nesting deeper than"),
+            std::string::npos)
+      << writeJson(Done);
+  submitAndWaitFrame(S, Sess, "after-deep-source");
+}
+
 //===----------------------------------------------------------------------===//
 // handleFrame: admission control
 //===----------------------------------------------------------------------===//

@@ -85,6 +85,33 @@ TEST(SexpParseTest, Errors) {
   EXPECT_FALSE(parseSexp("?"));                     // empty patvar
 }
 
+namespace {
+
+/// \p N nested binary Unions around Unit leaves: a term of depth N + 1.
+std::string nestedUnions(size_t N) {
+  std::string S;
+  for (size_t I = 0; I < N; ++I)
+    S += "(Union ";
+  S += "Unit";
+  for (size_t I = 0; I < N; ++I)
+    S += " Unit)";
+  return S;
+}
+
+} // namespace
+
+TEST(SexpParseTest, NestingIsBoundedByMaxSourceDepth) {
+  EXPECT_EQ(parseOk(nestedUnions(63))->depth(), 64u);
+  EXPECT_EQ(parseOk(nestedUnions(kMaxSourceDepth - 1))->depth(),
+            kMaxSourceDepth);
+  for (size_t N : {kMaxSourceDepth, size_t(20000)}) {
+    ParseResult R = parseSexp(nestedUnions(N));
+    ASSERT_FALSE(R) << N;
+    EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos)
+        << R.Error;
+  }
+}
+
 TEST(SexpParseTest, ErrorMessagesCarryOffset) {
   ParseResult R = parseSexp("(Union Unit Schmid)");
   ASSERT_FALSE(R);

@@ -325,7 +325,7 @@ std::string realEntryBlob(service::SnapshotEntry *Plain = nullptr) {
   Lim.IterLimit = 3;
   Runner(Lim).run(G, RuleSet(pipelineRules()), Cursors);
   static const AstSizeCost Cost;
-  KBestExtractor Engine(G, Cost, 3, 1);
+  KBestExtractor Engine(G, Cost, 3);
 
   service::SnapshotEntry E;
   E.InputHash = 0x1234;
@@ -457,7 +457,7 @@ TEST(SnapshotEntryFuzz, ForgedPoolBackReferencesRejected) {
   }
   static const AstSizeCost Cost;
   std::string Err;
-  ASSERT_NE(KBestExtractor::restore(G, Cost, 3, 1, Plain.Extract, Err),
+  ASSERT_NE(KBestExtractor::restore(G, Cost, 3, Plain.Extract, Err),
             nullptr)
       << Err;
 
@@ -498,7 +498,7 @@ TEST(SnapshotEntryFuzz, ForgedPoolBackReferencesRejected) {
   for (const auto &[Offset, Entry] : RefFields)
     for (const uint32_t Forged : {Entry, NumPool, 0xffffffffu}) {
       std::string E2;
-      EXPECT_EQ(KBestExtractor::restore(G, Cost, 3, 1,
+      EXPECT_EQ(KBestExtractor::restore(G, Cost, 3,
                                         Patched(Offset, Forged), E2),
                 nullptr)
           << "accepted forged ref " << Forged << " at byte " << Offset;
@@ -506,7 +506,7 @@ TEST(SnapshotEntryFuzz, ForgedPoolBackReferencesRejected) {
     }
   for (const size_t Offset : ArityOffsets) {
     std::string E2;
-    EXPECT_EQ(KBestExtractor::restore(G, Cost, 3, 1,
+    EXPECT_EQ(KBestExtractor::restore(G, Cost, 3,
                                       Patched(Offset, 0xffffffffu), E2),
               nullptr)
         << "accepted forged arity at byte " << Offset;

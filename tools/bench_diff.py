@@ -70,7 +70,7 @@ IDENTITY_FIELDS = ("family", "n", "model", "kind", "iter", "rule")
 # extract_sec gates the k-best engine, which a synthesis syncs once per
 # main-loop round, so redundant re-derivation shows up here even on rows
 # whose total stays within the threshold; rewrite_apply_sec
-# gates the conflict-partitioned parallel apply. Under --against-best
+# gates the Runner's serial apply phase. Under --against-best
 # each of these is compared with its own best committed value.
 GATED_FIELDS = ("time_sec", "rewrite_sec", "extract_sec", "rewrite_apply_sec")
 

@@ -22,6 +22,8 @@
 //     -cost size|loops   extraction cost (default size)
 //     -out DIR       write each job's best program to DIR/<name>.sexp
 //     -quiet         suppress the per-job table (summary only)
+//     -connect HOST:PORT   submit every job to a running shrinkray_serve
+//                    instead (the network client; same -out tree)
 //
 //   Exit status: 0 when every job succeeded (cache hits and deadline
 //   cancellations count as success — they returned a result), 1 when any
