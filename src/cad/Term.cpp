@@ -237,12 +237,26 @@ Term::Term(InternKey, Op O, std::vector<TermPtr> Children,
   ValueHashV = mix64(VH);
 }
 
+namespace {
+
+/// The release worklist of the outermost ~Term running on this thread,
+/// or null when none is.
+thread_local std::vector<TermPtr> *PendingRelease = nullptr;
+
+} // namespace
+
 /// Runs when the last strong reference drops: unlinks this node's own
-/// slot, then lets the member destructors release the children — *after*
-/// the shard lock is dropped, so nested destructors never see a held
-/// mutex. (The node and its control block are one make_shared allocation;
-/// the slot's weak_ptr — destroyed here — was the last weak reference, so
-/// the allocation is freed as soon as this destructor returns.)
+/// slot, then releases the children — *after* the shard lock is dropped,
+/// so nested destructors never see a held mutex. (The node and its control
+/// block are one make_shared allocation; the slot's weak_ptr — destroyed
+/// here — was the last weak reference, so the allocation is freed as soon
+/// as this destructor returns.)
+///
+/// Children are released iteratively: dropping a child this node solely
+/// owns runs that child's ~Term, and recursing once per level overflows
+/// the stack on a long chain (a 300000-iteration unrolled loop is a
+/// 300000-deep Union spine). The outermost ~Term on the thread drains a
+/// worklist; a ~Term it triggers hands its children to that worklist.
 Term::~Term() {
   InternShard &S = shardFor(HashV);
   {
@@ -250,6 +264,20 @@ Term::~Term() {
     S.erase(HashV, this);
   }
   internTable().Live.fetch_sub(1, std::memory_order_relaxed);
+
+  if (PendingRelease) {
+    for (TermPtr &Kid : Kids)
+      PendingRelease->push_back(std::move(Kid));
+    return;
+  }
+  std::vector<TermPtr> Work = std::move(Kids);
+  PendingRelease = &Work;
+  while (!Work.empty()) {
+    TermPtr Kid = std::move(Work.back());
+    Work.pop_back();
+    Kid.reset(); // a nested ~Term appends its children to Work
+  }
+  PendingRelease = nullptr;
 }
 
 TermPtr shrinkray::makeTerm(Op O, std::vector<TermPtr> Children) {

@@ -25,9 +25,12 @@ EClassId EGraph::add(ENode Node) {
     return UF.find(It->second);
 
   EClassId Id = UF.makeSet();
+  touch(Id);
   auto C = std::make_unique<EClass>();
   C->Id = Id;
   C->Nodes.push_back(Node);
+  C->NodeGens.push_back(Gen);
+  C->Kinds = opKindBit(Node.kind());
   C->Data = makeData(Node);
   for (EClassId Kid : Node.Children)
     eclassMut(Kid).Parents.emplace_back(Node, Id);
@@ -36,7 +39,6 @@ EClassId EGraph::add(ENode Node) {
   ++LiveClasses;
   ++LiveNodes;
   OpIndex[Node.Operator].push_back(Id);
-  touch(Id);
   Memo.emplace(std::move(Node), Id);
   modify(Id);
   return UF.find(Id);
@@ -85,6 +87,8 @@ std::pair<EClassId, bool> EGraph::merge(EClassId A, EClassId B) {
 
   for (ENode &N : Loser->Nodes)
     Root.Nodes.push_back(std::move(N));
+  Root.NodeGens.append(Loser->NodeGens);
+  Root.Kinds |= Loser->Kinds;
   for (auto &P : Loser->Parents)
     Root.Parents.push_back(std::move(P));
   bool DataChanged = joinData(Root.Data, Loser->Data);
@@ -171,18 +175,26 @@ void EGraph::repair(EClassId Id) {
   for (auto &[PNode, PClass] : Seen)
     C2.Parents.emplace_back(PNode, UF.find(PClass));
 
-  // Canonicalize and dedupe this class's own nodes.
+  // Canonicalize and dedupe this class's own nodes. A surviving node keeps
+  // its first occurrence's stamp: two nodes only collapse after a child
+  // merge, which touched that child after every live search cursor, so
+  // the root filter rescans the survivor whichever stamp it carries.
+  // Compacts in place: slot Keep <= I is already read when it is written.
   std::unordered_set<ENode, ENodeHash> NodeSet;
-  std::vector<ENode> NewNodes;
-  NewNodes.reserve(C2.Nodes.size());
-  for (const ENode &N : C2.Nodes) {
-    ENode Canon = canonicalize(N);
-    if (NodeSet.insert(Canon).second)
-      NewNodes.push_back(std::move(Canon));
+  size_t Keep = 0;
+  for (size_t I = 0; I < C2.Nodes.size(); ++I) {
+    ENode Canon = canonicalize(C2.Nodes[I]);
+    if (NodeSet.insert(Canon).second) {
+      C2.Nodes[Keep] = std::move(Canon);
+      C2.NodeGens.set(Keep, C2.NodeGens[I]);
+      ++Keep;
+    }
   }
-  assert(LiveNodes >= C2.Nodes.size() - NewNodes.size());
-  LiveNodes -= C2.Nodes.size() - NewNodes.size();
-  C2.Nodes = std::move(NewNodes);
+  assert(LiveNodes >= C2.Nodes.size() - Keep);
+  LiveNodes -= C2.Nodes.size() - Keep;
+  C2.Nodes.erase(C2.Nodes.begin() + static_cast<std::ptrdiff_t>(Keep),
+                 C2.Nodes.end());
+  C2.NodeGens.truncate(Keep);
 }
 
 std::vector<EClassId> EGraph::classIds() const {
@@ -501,10 +513,13 @@ void EGraph::modify(EClassId Id) {
   }
   // Insert the leaf directly into this class (bypassing add(), which would
   // create a fresh class).
-  Classes[Id]->Nodes.push_back(Leaf);
+  touch(Id);
+  EClass &C = *Classes[Id];
+  C.Nodes.push_back(Leaf);
+  C.NodeGens.push_back(Gen);
+  C.Kinds |= opKindBit(Leaf.kind());
   ++LiveNodes;
   OpIndex[Leaf.Operator].push_back(Id);
-  touch(Id);
   Memo.emplace(std::move(Leaf), Id);
 }
 
@@ -599,7 +614,31 @@ std::string EGraph::checkInvariants() const {
     }
   }
 
-  // 4. The operator-head index agrees with a full rescan: for every Op,
+  // 4. Per-node stamps are parallel to the nodes and never from the
+  //    future, and the head-kind mask is exactly the kinds present.
+  for (EClassId Id : classIds()) {
+    const EClass &C = eclass(Id);
+    if (C.NodeGens.size() != C.Nodes.size()) {
+      Os << "class " << Id << " holds " << C.NodeGens.size()
+         << " node stamps for " << C.Nodes.size() << " nodes";
+      return Os.str();
+    }
+    uint64_t Kinds = 0;
+    for (size_t I = 0; I < C.Nodes.size(); ++I) {
+      if (C.NodeGens[I] > Gen) {
+        Os << "class " << Id << " holds a node stamped " << C.NodeGens[I]
+           << " past generation " << Gen;
+        return Os.str();
+      }
+      Kinds |= opKindBit(C.Nodes[I].kind());
+    }
+    if (C.Kinds != Kinds) {
+      Os << "class " << Id << " head-kind mask disagrees with its nodes";
+      return Os.str();
+    }
+  }
+
+  // 5. The operator-head index agrees with a full rescan: for every Op,
   //    the canonicalized index bucket is exactly the set of classes
   //    containing a node with that head. (Read-only: buckets are
   //    canonicalized into scratch sets, not compacted in place.)
@@ -631,7 +670,7 @@ std::string EGraph::checkInvariants() const {
       return Os.str();
     }
 
-  // 5. The O(1) counters agree with a rescan.
+  // 6. The O(1) counters agree with a rescan.
   if (LiveClasses != RescanClasses) {
     Os << "class counter " << LiveClasses << " != rescan " << RescanClasses;
     return Os.str();

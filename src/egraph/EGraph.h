@@ -22,6 +22,8 @@
 ///  * a generation counter stamping every class-touching mutation, so the
 ///    Runner can restrict a rule's search to classes in which a new match
 ///    could have appeared since the rule last searched (takeDirtySince()),
+///    and, with per-node creation stamps, to the e-nodes of those classes
+///    that are new or sit directly over a change,
 ///    and the extraction engine can re-derive costs for exactly the
 ///    classes whose best term may have changed, and
 ///  * a merge-stable parent index: each class records the (e-node, class)
@@ -57,10 +59,75 @@ struct AnalysisData {
   }
 };
 
+/// Bit for head kind \p K in EClass::Kinds.
+inline uint64_t opKindBit(OpKind K) {
+  static_assert(NumOpKinds <= 64, "EClass::Kinds is one 64-bit word");
+  return uint64_t(1) << static_cast<unsigned>(K);
+}
+
+/// Creation stamps of a class's e-nodes, parallel to EClass::Nodes. The
+/// first stamp is stored inline: about two thirds of a saturated graph's
+/// classes hold one e-node, and a heap block per class for their stamps
+/// scatters the class tables enough to slow every walk over them
+/// (nintendo-slot: takeDirtySince ~1.6x, k-best refresh ~1.25x).
+class NodeStamps {
+public:
+  size_t size() const { return Count; }
+  uint64_t operator[](size_t I) const {
+    assert(I < Count && "node stamp index out of range");
+    return I == 0 ? First : Rest[I - 1];
+  }
+  void push_back(uint64_t Stamp) {
+    if (Count++ == 0)
+      First = Stamp;
+    else
+      Rest.push_back(Stamp);
+  }
+  void append(const NodeStamps &O) {
+    if (Count + O.Count > 1)
+      Rest.reserve(Count + O.Count - 1);
+    for (size_t I = 0; I < O.Count; ++I)
+      push_back(O[I]);
+  }
+  void set(size_t I, uint64_t Stamp) {
+    assert(I < Count && "node stamp index out of range");
+    (I == 0 ? First : Rest[I - 1]) = Stamp;
+  }
+  /// Keeps the first \p N stamps.
+  void truncate(size_t N) {
+    assert(N <= Count && "truncate cannot grow");
+    Count = N;
+    Rest.resize(N > 0 ? N - 1 : 0);
+  }
+
+  friend bool operator==(const NodeStamps &A, const NodeStamps &B) {
+    return A.Count == B.Count && (A.Count == 0 || A.First == B.First) &&
+           A.Rest == B.Rest;
+  }
+
+private:
+  uint64_t First = 0;
+  std::vector<uint64_t> Rest;
+  size_t Count = 0;
+};
+
 /// An equivalence class of e-nodes.
 struct EClass {
   EClassId Id = 0;
   std::vector<ENode> Nodes;
+  /// Creation stamp per e-node, parallel to Nodes: the graph generation at
+  /// which the node entered the graph (add() or a constant-folded literal
+  /// leaf). Merges carry stamps along; repair's dedupe keeps the first
+  /// occurrence's. An incremental search at cursor C may skip a root
+  /// e-node stamped <= C whose children are all outside the dirty closure
+  /// since C: every match through it was already found at C (see
+  /// RuleSet::RootFilter).
+  NodeStamps NodeGens;
+  /// opKindBit() of every head kind among Nodes. Monotone: a class only
+  /// gains heads (merges union node sets, dedupe keeps one copy of each),
+  /// so this is exact, and the Runner filters dirty classes by head kind
+  /// without touching the op-index.
+  uint64_t Kinds = 0;
   /// (parent e-node, class containing it) pairs; forms may be stale between
   /// rebuilds and are re-canonicalized during repair.
   std::vector<std::pair<ENode, EClassId>> Parents;
@@ -132,6 +199,11 @@ public:
   /// on access.
   const std::vector<EClassId> &classesWithOp(const Op &O) const;
 
+  /// True if class \p Id holds an e-node with head kind \p K. O(1).
+  bool hasKind(EClassId Id, OpKind K) const {
+    return (eclass(Id).Kinds & opKindBit(K)) != 0;
+  }
+
   /// Monotonic mutation counter. Every event that could enable a new
   /// pattern match — class creation, node insertion, merge, analysis
   /// change — bumps it and stamps the touched class. Never decreases.
@@ -143,6 +215,10 @@ public:
   /// nodes of C's descendants, so a change deep in the graph can create a
   /// match arbitrarily far above it). Ascending id order. Requires a
   /// clean graph. Cost is proportional to the closure, not graph size.
+  ///
+  /// A class in the result may hold e-nodes that did not change: the
+  /// Runner's incremental search re-searches only those stamped after
+  /// \p Since (EClass::NodeGens) or with a child in the result.
   ///
   /// If the log prefix covering \p Since has been dropped by
   /// compactDirtyLog() (possible only for cursors never registered as a
@@ -216,10 +292,10 @@ public:
   std::string dump() const;
 
   /// Serializes the complete logical graph state — union-find raw parent
-  /// slots, every class's e-nodes and parent entries verbatim (including
-  /// stale child ids, which queries canonicalize on the fly), analysis
-  /// data, the generation counter, and the dirty log + compaction floor —
-  /// behind a magic/version/checksum header (see docs/ARCHITECTURE.md,
+  /// slots, every class's e-nodes, node stamps and parent entries verbatim
+  /// (including stale child ids, which queries canonicalize on the fly),
+  /// analysis data, the generation counter, and the dirty log + compaction
+  /// floor — behind a magic/version/checksum header (see docs/ARCHITECTURE.md,
   /// "Snapshot format"). Restoring and continuing is bit-identical to
   /// never having snapshotted: dumps match and subsequent saturation or
   /// extraction visits the same classes in the same order. Reader leases
@@ -239,11 +315,12 @@ public:
   std::string deserialize(std::istream &Is);
 
   /// Validates the e-graph's internal invariants (canonical hash-consing,
-  /// congruence closure, parent-pointer consistency, operator-index
-  /// agreement with a full rescan, and counter accuracy). Returns an
-  /// empty string when everything holds, else a description of the first
-  /// violation. Requires a clean graph (rebuild() first). Intended for
-  /// tests and debugging; O(nodes * arity).
+  /// congruence closure, parent-pointer consistency, one node stamp per
+  /// e-node and none past generation(), exact head-kind masks,
+  /// operator-index agreement with a full rescan, and counter accuracy).
+  /// Returns an empty string when everything holds, else a description of
+  /// the first violation. Requires a clean graph (rebuild() first).
+  /// Intended for tests and debugging; O(nodes * arity).
   std::string checkInvariants() const;
 
 private:

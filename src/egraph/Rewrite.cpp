@@ -104,9 +104,8 @@ Rewrite::Guard shrinkray::guardAnd(Rewrite::Guard A, Rewrite::Guard B) {
   };
 }
 
-double shrinkray::constValue(const EGraph &G, const Subst &S,
-                             std::string_view Var) {
-  const AnalysisData &D = G.data(S[Symbol{Var}]);
+double shrinkray::constValue(const EGraph &G, const Subst &S, Symbol Var) {
+  const AnalysisData &D = G.data(S[Var]);
   assert(D.NumConst && "constValue on a non-constant class");
   return *D.NumConst;
 }

@@ -110,7 +110,9 @@ Rewrite::Guard isNonzeroConst(std::string_view Var);
 Rewrite::Guard guardAnd(Rewrite::Guard A, Rewrite::Guard B);
 
 /// Reads the constant value of the class bound to \p Var; asserts presence.
-double constValue(const EGraph &G, const Subst &S, std::string_view Var);
+/// Takes a Symbol rather than a spelling: interning takes the process-wide
+/// intern lock, so per-match callers intern their variables once.
+double constValue(const EGraph &G, const Subst &S, Symbol Var);
 
 } // namespace shrinkray
 

@@ -79,7 +79,8 @@ void RuleSet::insertRule(Group &Grp, uint32_t LocalIdx,
 
 void RuleSet::searchGroup(
     size_t GI, const EGraph &G, const std::vector<Candidate> &Cands,
-    std::vector<std::vector<std::pair<EClassId, Subst>>> &Out) const {
+    std::vector<std::vector<std::pair<EClassId, Subst>>> &Out,
+    const RootFilter *Filter) const {
   const Group &Grp = Groups[GI];
   assert(Out.size() >= Rules.size() && "output not sized to the database");
 
@@ -132,10 +133,19 @@ void RuleSet::searchGroup(
     // Bind: each matching e-node is one choice; leaves and children run
     // under each choice in turn. Sibling subtrees may reuse the same
     // output registers — safe, each subtree is fully explored before the
-    // next choice or sibling overwrites them.
-    const std::vector<ENode> &Nodes = G.eclass(Regs[I.In]).Nodes;
-    for (const ENode &Node : Nodes) {
+    // next choice or sibling overwrites them. Register 0 holds the root,
+    // so a Bind reading it is a root Bind, where the filter applies.
+    const EClass &Cls = G.eclass(Regs[I.In]);
+    const bool FilterRoot = Filter && I.In == 0;
+    for (size_t NI = 0; NI < Cls.Nodes.size(); ++NI) {
+      const ENode &Node = Cls.Nodes[NI];
       if (Node.Operator != I.Operator || Node.Children.size() != I.Arity)
+        continue;
+      if (FilterRoot && Cls.NodeGens[NI] <= Filter->Cursor &&
+          std::none_of(Node.Children.begin(), Node.Children.end(),
+                       [&](EClassId Kid) {
+                         return Filter->isDirty(G.find(Kid));
+                       }))
         continue;
       for (uint16_t C = 0; C < I.Arity; ++C)
         Regs[I.Out + C] = Node.Children[C];

@@ -29,6 +29,14 @@
 /// diverged (backoff bans) can share a traversal while seeing different
 /// candidate sets.
 ///
+/// An incremental search can also pass a RootFilter (semi-naive matching
+/// at e-node grain, after "Relational E-Matching"'s delta relations): the
+/// root Bind then skips every e-node that already existed at the search
+/// cursor and whose children all lie outside the dirty closure since it.
+/// Every match through such a node was found by the previous search, so
+/// an incremental search finds — and the Runner counts — only matches
+/// that are new or changed since its cursor.
+///
 /// searchGroup() only reads the e-graph through const queries (find,
 /// eclass, data) and writes only the caller's per-rule output buffers, so
 /// distinct groups can be searched from distinct threads against one
@@ -134,16 +142,41 @@ public:
     RuleMask Mask;
   };
 
+  /// The incremental filter for the root Bind: a search at cursor
+  /// \c Cursor may skip any root e-node stamped <= Cursor (EClass::NodeGens)
+  /// whose canonical children are all clear in \c Dirty, a bitmap over
+  /// class ids of EGraph::takeDirtySince(Cursor). Such a node and every
+  /// class below it are unchanged since the cursor, and guards read only
+  /// classes below the root, so each of its matches was already found
+  /// then. Only valid for a search whose every active rule last searched
+  /// at \c Cursor.
+  struct RootFilter {
+    uint64_t Cursor = 0;
+    std::vector<uint64_t> Dirty; ///< bit per class id
+
+    RootFilter(uint64_t Cursor, const std::vector<EClassId> &DirtyIds,
+               size_t NumIds)
+        : Cursor(Cursor), Dirty((NumIds + 63) / 64, 0) {
+      for (EClassId Id : DirtyIds)
+        Dirty[Id >> 6] |= uint64_t(1) << (Id & 63);
+    }
+    bool isDirty(EClassId Id) const {
+      return (Dirty[Id >> 6] >> (Id & 63)) & 1;
+    }
+  };
+
   /// Runs group \p GI's trie over \p Cands, appending each completed
   /// (root, substitution) — post-guard — to Out[global rule index]. For
   /// any fixed rule the matches appear in exactly the order the rule's own
   /// searchIn() would produce over the same candidate subsequence, so
   /// swapping per-rule search for group search is apply-order-invisible.
+  /// With \p Filter, root e-nodes it rules out are skipped; the result is
+  /// the unfiltered one with those nodes' matches removed, order kept.
   /// const and data-race-free w.r.t. a prepared, unmodified graph.
   void searchGroup(size_t GI, const EGraph &G,
                    const std::vector<Candidate> &Cands,
-                   std::vector<std::vector<std::pair<EClassId, Subst>>> &Out)
-      const;
+                   std::vector<std::vector<std::pair<EClassId, Subst>>> &Out,
+                   const RootFilter *Filter = nullptr) const;
 
 private:
   /// One trie node: an instruction, the nodes to run after it succeeds,

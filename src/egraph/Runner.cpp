@@ -36,6 +36,12 @@ struct MatchKeyHash {
 
 using AppliedMemo = std::unordered_set<std::vector<EClassId>, MatchKeyHash>;
 
+/// True for the head kinds whose Op carries a literal or symbol payload.
+bool opHasPayload(OpKind K) {
+  return K == OpKind::Int || K == OpKind::Float || K == OpKind::Var ||
+         K == OpKind::External || K == OpKind::OpRef || K == OpKind::PatVar;
+}
+
 } // namespace
 
 RunnerReport Runner::run(EGraph &G, const std::vector<Rewrite> &Rules) const {
@@ -171,22 +177,49 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
     // moment a rule's incremental streak crosses MatchLimit — so between
     // iterations every rule's WindowMerged is already <= the limit.)
 
+    // Root filters for incremental searches, one per distinct cursor.
+    std::unordered_map<uint64_t, RuleSet::RootFilter> FilterByGen;
+    auto rootFilter = [&](uint64_t Gen) -> const RuleSet::RootFilter * {
+      auto It = FilterByGen.find(Gen);
+      if (It == FilterByGen.end())
+        It = FilterByGen
+                 .try_emplace(Gen, Gen, dirtySince(Gen), G.numIds())
+                 .first;
+      return &It->second;
+    };
+
     // Phase 1a (serial): schedule every non-banned rule — full indexed
     // search or dirty-restricted incremental — and assemble one candidate
     // list per root-op group, each candidate tagged with the mask of
     // group-local rules that must search it. Rules sharing a cursor (the
-    // common case) share one list and one full mask.
+    // common case) share one list and one full mask, and their search
+    // gets the cursor's root filter. Full searches — first searches, the
+    // dirty > 1/2 fallback, the first search after a ban — and groups
+    // whose cursors diverged run unfiltered, so the per-search ban below
+    // sees whole-graph counts where it can fire after a ban.
     const auto SearchStart = Clock::now();
     std::vector<char> RuleActive(NumRules, 0), RuleFull(NumRules, 0);
     std::vector<std::vector<RuleSet::Candidate>> GroupCands(NumGroups);
+    std::vector<const RuleSet::RootFilter *> GroupFilter(NumGroups, nullptr);
     std::vector<size_t> GroupActive(NumGroups, 0);
     for (size_t GI = 0; GI < NumGroups; ++GI) {
       const std::vector<uint32_t> &Members = DB.groupRules(GI);
-      const std::vector<EClassId> &Bucket = G.classesWithOp(DB.groupOp(GI));
+      const Op &RootOp = DB.groupOp(GI);
+      // The op-index bucket is only compacted when a search needs it: a
+      // full search scans it, and a payload-carrying root op (Int 3,
+      // Var i) cannot be told apart by head kind alone.
+      const std::vector<EClassId> *Bucket = nullptr;
+      auto bucket = [&]() -> const std::vector<EClassId> & {
+        if (!Bucket)
+          Bucket = &G.classesWithOp(RootOp);
+        return *Bucket;
+      };
+      const bool KindExact = !opHasPayload(RootOp.kind());
       // Per-cursor filtered candidate lists, shared by same-cursor rules.
       std::unordered_map<uint64_t, std::vector<EClassId>> FilteredByGen;
       const std::vector<EClassId> *FirstList = nullptr;
       bool AllSame = true;
+      bool Filterable = true; // every active member incremental, one cursor
       std::vector<const std::vector<EClassId> *> MemberList(Members.size(),
                                                             nullptr);
       for (size_t B = 0; B < Members.size(); ++B) {
@@ -197,7 +230,7 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
         ++GroupActive[GI];
         RuleStats &RS = Report.Rules[R];
         if (!EverSearched[R]) {
-          MemberList[B] = &Bucket;
+          MemberList[B] = &bucket();
           RuleFull[R] = 1;
           ++RS.FullSearches;
         } else {
@@ -205,25 +238,36 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
           if (Dirty.size() * 2 >= G.numClasses()) {
             // Most of the graph changed; the set intersection would not
             // prune enough to pay for itself.
-            MemberList[B] = &Bucket;
+            MemberList[B] = &bucket();
             RuleFull[R] = 1;
             ++RS.FullSearches;
           } else {
             auto It = FilteredByGen.find(LastSearchGen[R]);
             if (It == FilteredByGen.end()) {
-              // Both lists are sorted ascending; keep dirty candidates.
+              // Dirty is sorted ascending, so the kept candidates are too.
               std::vector<EClassId> Filtered;
-              std::set_intersection(Bucket.begin(), Bucket.end(),
-                                    Dirty.begin(), Dirty.end(),
-                                    std::back_inserter(Filtered));
+              if (KindExact) {
+                for (EClassId Id : Dirty)
+                  if (G.hasKind(Id, RootOp.kind()))
+                    Filtered.push_back(Id);
+              } else {
+                std::set_intersection(bucket().begin(), bucket().end(),
+                                      Dirty.begin(), Dirty.end(),
+                                      std::back_inserter(Filtered));
+              }
               It = FilteredByGen.emplace(LastSearchGen[R],
                                          std::move(Filtered))
                        .first;
             }
             MemberList[B] = &It->second;
             ++RS.IncrementalSearches;
+            // The first search after a ban expires stays unfiltered.
+            if (BannedUntil[R] == Iter)
+              Filterable = false;
           }
         }
+        if (RuleFull[R])
+          Filterable = false;
         if (!FirstList)
           FirstList = MemberList[B];
         else if (FirstList != MemberList[B])
@@ -232,6 +276,10 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
       if (!FirstList)
         continue; // whole group banned
       std::vector<RuleSet::Candidate> &Cands = GroupCands[GI];
+      // All members incremental on one list means one cursor: the list's
+      // only FilteredByGen key.
+      if (AllSame && Filterable && !FirstList->empty())
+        GroupFilter[GI] = rootFilter(FilteredByGen.begin()->first);
       if (AllSame) {
         RuleSet::RuleMask Mask;
         for (size_t B = 0; B < Members.size(); ++B)
@@ -275,7 +323,7 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
     auto searchOne = [&](size_t TaskIdx) {
       const size_t GI = Order[TaskIdx];
       const auto T0 = Clock::now();
-      DB.searchGroup(GI, G, GroupCands[GI], AllMatches);
+      DB.searchGroup(GI, G, GroupCands[GI], AllMatches, GroupFilter[GI]);
       GroupSec[GI] = secondsSince(T0);
     };
     if (Threads > 1 && Order.size() > 1) {

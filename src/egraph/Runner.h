@@ -18,10 +18,13 @@
 /// generation of its last applied search, and subsequent searches scan
 /// only the classes the e-graph reports dirty since then (touched classes
 /// plus their ancestor closure — see EGraph::takeDirtySince), intersected
-/// with the operator-head index for the rule's root. When the dirty
-/// closure covers most of the graph the Runner falls back to a plain
-/// indexed search, which costs the same and skips the set bookkeeping.
-/// Saturation cost is therefore proportional to change, not graph size.
+/// with the head kind of the rule's root. Within those classes the
+/// search skips root e-nodes whose matches it already found (RuleSet::
+/// RootFilter): an incremental search finds only matches that are new or
+/// changed since its cursor. When the dirty closure covers most of the
+/// graph the Runner falls back to a plain indexed search, which costs the
+/// same and skips the set bookkeeping. Saturation cost is therefore
+/// proportional to change, not graph size.
 ///
 /// Because phase 1 only reads the graph (one generation stamp covers every
 /// search), the root-op groups can be searched concurrently: with
@@ -35,9 +38,9 @@
 /// and congruence is restored by one rebuild at the end of the iteration.
 /// It keeps an applied-match memo per rule: a (root, substitution)
 /// pair that already merged is never re-instantiated, so re-found matches
-/// (full-search fallbacks, overlapping dirty closures) cost one hash probe
-/// instead of rebuilding their right-hand sides. The memo also feeds the
-/// match-limit window — see RunnerLimits::MatchLimit.
+/// (full and unfiltered searches, nodes re-searched over a changed child)
+/// cost one hash probe instead of rebuilding their right-hand sides. The
+/// memo also feeds the match-limit window — see RunnerLimits::MatchLimit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +64,8 @@ struct RunnerLimits {
   double TimeLimitSec = 60.0;   ///< wall-clock budget
   /// Backoff threshold, enforced two ways: a single search that *finds*
   /// more than this many matches is discarded and the rule banned (search
-  /// cost control, as before), and a rule whose distinct merged matches
+  /// cost control; a full search counts every match, an incremental one
+  /// only the new or changed ones), and a rule whose distinct merged matches
   /// accumulated across one incremental streak (between full searches)
   /// cross this limit is banned *at that moment, mid-apply* (growth-rate
   /// control — incremental searches shrink per-search counts, so without
@@ -93,7 +97,8 @@ enum class StopReason { Saturated, IterLimit, NodeLimit, TimeLimit, Cancelled };
 /// Per-iteration statistics.
 struct IterationStats {
   size_t Applied = 0;   ///< matches that changed the graph
-  size_t Matches = 0;   ///< total matches found
+  size_t Matches = 0;   ///< matches found: all of them by full searches,
+                        ///< only new or changed ones by incremental ones
   size_t Nodes = 0;     ///< e-nodes after the iteration
   size_t Classes = 0;   ///< e-classes after the iteration
   double Seconds = 0.0; ///< wall time of this iteration (search+apply+rebuild)
@@ -112,7 +117,8 @@ struct RuleStats {
   /// Bind spine is shared).
   double SearchSec = 0.0;
   double ApplySec = 0.0;          ///< total time applying its matches
-  size_t Matches = 0;             ///< matches found (incl. re-found)
+  size_t Matches = 0;             ///< matches found (incremental searches
+                                  ///< find only new or changed ones)
   size_t Applied = 0;             ///< matches that changed the graph
   size_t FullSearches = 0;        ///< searches over all indexed candidates
   size_t IncrementalSearches = 0; ///< searches restricted to dirty classes

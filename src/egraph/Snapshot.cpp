@@ -20,6 +20,7 @@
 ///     u32 Id
 ///     analysis: u8 HasConst, f64 Const, u8 IsInt
 ///     u32 NumNodes,   each: Op, u32 Arity, u32 Child[Arity]
+///     u32 NumStamps,  each: u64 NodeGen  -- == NumNodes, each <= Gen
 ///     u32 NumParents, each: parent ENode (same encoding), u32 ParentClass
 ///   u64 DirtyLogLen, each entry: u64 Gen, u32 ClassId
 ///
@@ -30,7 +31,11 @@
 /// uninterrupted run. The hash-consing memo and the operator-head index
 /// are not stored: both are pure functions of the class tables and are
 /// rebuilt during restore (their query results are order-insensitive —
-/// classesWithOp() sorts, memo values are find()'d on use).
+/// classesWithOp() sorts, memo values are find()'d on use), as is each
+/// class's head-kind mask. Node creation stamps are stored: restoring them
+/// as "new" would let the first incremental search after restore re-find
+/// standing matches the uninterrupted run skips, shifting match-limit
+/// counts.
 ///
 /// Ops serialize by kind tag plus payload; Symbol payloads serialize as
 /// their spellings because intern ids are process-local.
@@ -67,8 +72,9 @@ using snapcodec::fnv1a;
 ///   '2'  identical payload; bumped with the warm-start tier so resume
 ///        consumers can trust that cursor/extraction blobs paired with the
 ///        graph were produced by a resume-aware writer
+///   '3'  per-node creation stamps after each class's e-nodes
 constexpr char SnapshotMagicPrefix[7] = {'S', 'R', 'A', 'Y', 'E', 'G', 'R'};
-constexpr char SnapshotVersion = '2';
+constexpr char SnapshotVersion = '3';
 
 } // namespace
 
@@ -95,6 +101,9 @@ void EGraph::serialize(std::ostream &Os) const {
     W.u32(static_cast<uint32_t>(C->Nodes.size()));
     for (const ENode &N : C->Nodes)
       W.node(N);
+    W.u32(static_cast<uint32_t>(C->NodeGens.size()));
+    for (size_t I = 0; I < C->NodeGens.size(); ++I)
+      W.u64(C->NodeGens[I]);
     W.u32(static_cast<uint32_t>(C->Parents.size()));
     for (const auto &[PNode, PClass] : C->Parents) {
       W.node(PNode);
@@ -232,9 +241,22 @@ std::string EGraph::deserialize(std::istream &Is) {
       std::optional<ENode> Node = R.node(NumIds, Err);
       if (!Node)
         return Err.empty() ? "truncated e-node" : Err;
+      C->Kinds |= opKindBit(Node->kind());
       C->Nodes.push_back(std::move(*Node));
     }
     NewLiveNodes += C->Nodes.size();
+
+    uint32_t NumStamps = R.u32();
+    if (!R.ok() || NumStamps != NumNodes)
+      return "node stamp count differs from node count";
+    if (!R.fits(NumStamps, sizeof(uint64_t)))
+      return "truncated snapshot payload";
+    for (uint32_t N = 0; N < NumStamps; ++N) {
+      const uint64_t Stamp = R.u64();
+      if (Stamp > SnapGen && R.ok())
+        return "node stamp beyond generation counter";
+      C->NodeGens.push_back(Stamp);
+    }
 
     uint32_t NumParents = R.u32();
     // Minimum parent encoding: an e-node (5) + a 4-byte class id.

@@ -4,6 +4,7 @@
 
 #include "linalg/Vec3.h"
 
+#include <array>
 #include <cmath>
 
 using namespace shrinkray;
@@ -20,10 +21,29 @@ static EClassId addVecConst(EGraph &G, Vec3 V) {
   return G.add(ENode(Op(OpKind::Vec3Ctor), {X, Y, Z}));
 }
 
+/// Three pattern variables naming a vector's components, interned once
+/// when the rules are built: constructing a Symbol takes the process-wide
+/// intern lock, which the per-match guards and appliers must not.
+using VecVars = std::array<Symbol, 3>;
+
+static VecVars vecVars(const char *X, const char *Y, const char *Z) {
+  return {Symbol(X), Symbol(Y), Symbol(Z)};
+}
+
 /// Reads the three bound scalar components of a matched vector as a Vec3.
-static Vec3 boundVec(const EGraph &G, const Subst &S, const char *X,
-                     const char *Y, const char *Z) {
-  return {constValue(G, S, X), constValue(G, S, Y), constValue(G, S, Z)};
+static Vec3 boundVec(const EGraph &G, const Subst &S, const VecVars &V) {
+  return {constValue(G, S, V[0]), constValue(G, S, V[1]),
+          constValue(G, S, V[2])};
+}
+
+/// True if every component of both vectors is bound to a constant.
+static bool allConst(const EGraph &G, const Subst &S, const VecVars &A,
+                     const VecVars &B) {
+  for (const VecVars *V : {&A, &B})
+    for (Symbol Var : *V)
+      if (!G.data(S[Var]).NumConst)
+        return false;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -80,18 +100,19 @@ std::vector<Rewrite> shrinkray::reorderRules() {
 
   // Rotate(r, Translate(v, c)) == Translate(R_r v, Rotate(r, c)); exact for
   // any Euler rotation, computed numerically on constant vectors.
+  const VecVars Rv = vecVars("rx", "ry", "rz"), Tv = vecVars("tx", "ty", "tz");
+  const Symbol C("c");
   Rules.emplace_back(
       "reorder-rotate-translate",
       "(Rotate (Vec3 ?rx ?ry ?rz) (Translate (Vec3 ?tx ?ty ?tz) ?c))",
-      [](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
-        for (const char *V : {"rx", "ry", "rz", "tx", "ty", "tz"})
-          if (!G.data(S[Symbol(V)]).NumConst)
-            return std::nullopt;
-        Vec3 R = boundVec(G, S, "rx", "ry", "rz");
-        Vec3 T = boundVec(G, S, "tx", "ty", "tz");
+      [=](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
+        if (!allConst(G, S, Rv, Tv))
+          return std::nullopt;
+        Vec3 R = boundVec(G, S, Rv);
+        Vec3 T = boundVec(G, S, Tv);
         Vec3 Moved = Mat3::rotXyz(R) * T;
-        EClassId Rot = G.add(
-            ENode(Op(OpKind::Rotate), {addVecConst(G, R), S[Symbol("c")]}));
+        EClassId Rot =
+            G.add(ENode(Op(OpKind::Rotate), {addVecConst(G, R), S[C]}));
         return G.add(
             ENode(Op(OpKind::Translate), {addVecConst(G, Moved), Rot}));
       });
@@ -100,15 +121,14 @@ std::vector<Rewrite> shrinkray::reorderRules() {
   Rules.emplace_back(
       "reorder-translate-rotate",
       "(Translate (Vec3 ?tx ?ty ?tz) (Rotate (Vec3 ?rx ?ry ?rz) ?c))",
-      [](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
-        for (const char *V : {"rx", "ry", "rz", "tx", "ty", "tz"})
-          if (!G.data(S[Symbol(V)]).NumConst)
-            return std::nullopt;
-        Vec3 R = boundVec(G, S, "rx", "ry", "rz");
-        Vec3 T = boundVec(G, S, "tx", "ty", "tz");
+      [=](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
+        if (!allConst(G, S, Rv, Tv))
+          return std::nullopt;
+        Vec3 R = boundVec(G, S, Rv);
+        Vec3 T = boundVec(G, S, Tv);
         Vec3 Moved = Mat3::rotXyz(R).transpose() * T;
-        EClassId Tr = G.add(ENode(Op(OpKind::Translate),
-                                  {addVecConst(G, Moved), S[Symbol("c")]}));
+        EClassId Tr = G.add(
+            ENode(Op(OpKind::Translate), {addVecConst(G, Moved), S[C]}));
         return G.add(ENode(Op(OpKind::Rotate), {addVecConst(G, R), Tr}));
       });
 
@@ -133,12 +153,13 @@ std::vector<Rewrite> shrinkray::collapseRules() {
       "(Scale (Vec3 (Mul ?ax ?bx) (Mul ?ay ?by) (Mul ?az ?bz)) ?c)");
 
   // Same-axis rotations add (axis-aligned cases, as in the paper).
-  auto sameAxis = [](const EGraph &G, const Subst &S) {
-    for (const char *V : {"ax", "ay", "az", "bx", "by", "bz"})
-      if (!G.data(S[Symbol(V)]).NumConst)
-        return false;
-    Vec3 A = boundVec(G, S, "ax", "ay", "az");
-    Vec3 B = boundVec(G, S, "bx", "by", "bz");
+  auto sameAxis = [Av = vecVars("ax", "ay", "az"),
+                   Bv = vecVars("bx", "by", "bz")](const EGraph &G,
+                                                   const Subst &S) {
+    if (!allConst(G, S, Av, Bv))
+      return false;
+    Vec3 A = boundVec(G, S, Av);
+    Vec3 B = boundVec(G, S, Bv);
     // Each rotation must live on one axis, and on the same one (a zero
     // rotation is compatible with any axis).
     for (int Axis = 0; Axis < 3; ++Axis) {
@@ -244,9 +265,9 @@ std::vector<Rewrite> shrinkray::identityRules() {
 
   auto allEqual = [](const char *X, const char *Y, const char *Z,
                      double Value) {
-    return [=](const EGraph &G, const Subst &S) {
-      for (const char *V : {X, Y, Z}) {
-        const AnalysisData &D = G.data(S[Symbol(V)]);
+    return [=, Vars = vecVars(X, Y, Z)](const EGraph &G, const Subst &S) {
+      for (Symbol V : Vars) {
+        const AnalysisData &D = G.data(S[V]);
         if (!D.NumConst || *D.NumConst != Value)
           return false;
       }
@@ -282,23 +303,23 @@ std::vector<Rewrite> shrinkray::listAlgebraRules() {
   Rules.emplace_back("repeat-zero", "(Repeat ?x 0)", "Nil");
   // cons(x, repeat(x, n)) == repeat(x, n+1) for a constant count: grows
   // Repeat runs out of literal spines.
+  const Symbol X("x"), N("n");
   Rules.emplace_back(
       "cons-repeat-grow", "(Cons ?x (Repeat ?x ?n))",
-      [](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
-        const AnalysisData &D = G.data(S[Symbol("n")]);
+      [=](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
+        const AnalysisData &D = G.data(S[N]);
         if (!D.NumConst || !D.NumIsInt)
           return std::nullopt;
         EClassId Count = G.add(
             ENode(Op::makeInt(static_cast<int64_t>(*D.NumConst) + 1), {}));
-        return G.add(
-            ENode(Op(OpKind::Repeat), {S[Symbol("x")], Count}));
+        return G.add(ENode(Op(OpKind::Repeat), {S[X], Count}));
       });
   // cons(x, cons(x, nil)) == repeat(x, 2): seeds Repeat discovery.
   Rules.emplace_back(
       "cons-pair-to-repeat", "(Cons ?x (Cons ?x Nil))",
-      [](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
+      [=](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
         EClassId Two = G.add(ENode(Op::makeInt(2), {}));
-        return G.add(ENode(Op(OpKind::Repeat), {S[Symbol("x")], Two}));
+        return G.add(ENode(Op(OpKind::Repeat), {S[X], Two}));
       });
   return Rules;
 }

@@ -166,7 +166,15 @@ public:
       if (!parseStatement(Solids))
         return {nullptr, Diag};
     }
-    return {tUnionAll(Solids), ""};
+    // Source nesting is bounded while parsing, but unrolled loops and
+    // long statement lists build Union spines as deep as their solid
+    // count; downstream walkers recurse per level, so bound the result.
+    TermPtr Result = tUnionAll(Solids);
+    if (Result->depth() > kMaxSourceDepth) {
+      failTooDeep();
+      return {nullptr, Diag};
+    }
+    return {Result, ""};
   }
 
 private:

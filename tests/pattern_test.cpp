@@ -174,5 +174,5 @@ TEST(RewriteTest, ConstValueHelper) {
   Pattern P = Pattern::parse("(Translate (Vec3 ?x ?y ?z) ?c)");
   auto Matches = P.search(G);
   ASSERT_EQ(Matches.size(), 1u);
-  EXPECT_DOUBLE_EQ(constValue(G, Matches[0].second, "y"), 2.0);
+  EXPECT_DOUBLE_EQ(constValue(G, Matches[0].second, Symbol("y")), 2.0);
 }

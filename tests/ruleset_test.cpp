@@ -13,6 +13,9 @@
 //  * match-limit window: explosive rules are banned even when incremental
 //    search keeps their per-search counts small (the dodge), while rules
 //    that merely re-find standing matches are not (the over-trigger);
+//  * root filter: filtered incremental search returns an in-order
+//    subsequence of the unfiltered one that still holds every match the
+//    graph gained since the cursor;
 //  * dirty-log compaction: bounded growth across long sessions, the
 //    conservative fallback below the compaction floor, and lease
 //    protection for incremental extraction engines.
@@ -31,6 +34,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 using namespace shrinkray;
@@ -220,6 +224,143 @@ TEST(RuleSetTrie, PipelineGroupsShareSpines) {
 }
 
 //===----------------------------------------------------------------------===//
+// Root filter: incremental search skips only standing matches
+//===----------------------------------------------------------------------===//
+
+using RawMatches = std::vector<std::vector<std::pair<EClassId, Subst>>>;
+
+/// Every group of \p DB searched with all rules active, over the op-index
+/// bucket or (with \p Dirty) its dirty part, optionally root-filtered.
+RawMatches searchAll(const EGraph &G, const RuleSet &DB,
+                     const std::vector<EClassId> *Dirty,
+                     const RuleSet::RootFilter *Filter) {
+  RawMatches Out(DB.numRules());
+  for (size_t GI = 0; GI < DB.numGroups(); ++GI) {
+    const std::vector<EClassId> &Bucket = G.classesWithOp(DB.groupOp(GI));
+    std::vector<EClassId> Ids;
+    if (Dirty)
+      std::set_intersection(Bucket.begin(), Bucket.end(), Dirty->begin(),
+                            Dirty->end(), std::back_inserter(Ids));
+    else
+      Ids = Bucket;
+    RuleSet::RuleMask Mask =
+        RuleSet::RuleMask::firstN(DB.groupRules(GI).size());
+    std::vector<RuleSet::Candidate> Cands;
+    for (EClassId Id : Ids)
+      Cands.push_back({Id, Mask});
+    DB.searchGroup(GI, G, Cands, Out, Filter);
+  }
+  return Out;
+}
+
+/// Mutations saturation alone does not produce: a self-referential class
+/// (a union merged with its own child), two unrelated solids merged, a
+/// fresh constant-folded literal leaf inserted into its class, and a
+/// variable merged with a constant, which folds its parent in repair().
+void perturb(EGraph &G, int Stage) {
+  const std::vector<EClassId> &Unions = G.classesWithOp(Op(OpKind::Union));
+  if (!Unions.empty()) {
+    EClassId U = Unions[static_cast<size_t>(Stage) % Unions.size()];
+    for (const ENode &N : G.eclass(U).Nodes)
+      if (N.kind() == OpKind::Union) {
+        G.merge(U, N.Children.back());
+        break;
+      }
+  }
+  const std::vector<EClassId> Solids = G.classesWithOp(Op(OpKind::Translate));
+  if (Solids.size() >= 2)
+    G.merge(Solids[static_cast<size_t>(Stage) % Solids.size()],
+            Solids[Solids.size() - 1 - static_cast<size_t>(Stage) % 2]);
+  G.add(ENode(Op(OpKind::Add), {G.add(ENode(Op::makeInt(7000 + Stage), {})),
+                                G.add(ENode(Op::makeInt(1), {}))}));
+  EClassId V = G.add(ENode(Op::makeVar(Symbol("q" + std::to_string(Stage))),
+                           {}));
+  G.add(ENode(Op(OpKind::Mul), {V, G.add(ENode(Op::makeInt(3), {}))}));
+  G.merge(V, G.add(ENode(Op::makeInt(5 + Stage), {})));
+}
+
+TEST(RootFilterDifferential, EveryFamilyOnEveryModel) {
+  const std::vector<std::pair<const char *, std::vector<Rewrite>>> Families =
+      {{"lifting", liftingRules()},
+       {"reorder", reorderRules()},
+       {"collapse", collapseRules()},
+       {"fold", foldRules()},
+       {"boolean", booleanRules(true, true)},
+       {"identity", identityRules()},
+       {"list-algebra", listAlgebraRules()},
+       {"pipeline", pipelineRules()}};
+  size_t Unfiltered = 0, Filtered = 0, New = 0;
+  for (const auto &[Family, Rules] : Families) {
+    RuleSet DB(Rules);
+    for (const models::BenchmarkModel &M : models::allModels()) {
+      const std::string Where = std::string(Family) + " on " + M.Name;
+      EGraph G;
+      G.addTerm(M.FlatCsg);
+      G.rebuild();
+      for (int Stage = 0; Stage < 3; ++Stage) {
+        const uint64_t Cursor = G.generation();
+        const RawMatches Before = searchAll(G, DB, nullptr, nullptr);
+        RunnerLimits L;
+        L.IterLimit = 1;
+        L.NumThreads = 1;
+        Runner(L).run(G, DB);
+        perturb(G, Stage);
+        G.rebuild();
+        ASSERT_EQ(G.checkInvariants(), "") << Where;
+
+        const std::vector<EClassId> Dirty = G.takeDirtySince(Cursor);
+        const RuleSet::RootFilter Filter(Cursor, Dirty, G.numIds());
+        const RawMatches Inc = searchAll(G, DB, &Dirty, nullptr);
+        const RawMatches Fil = searchAll(G, DB, &Dirty, &Filter);
+        const RawMatches Full = searchAll(G, DB, nullptr, nullptr);
+        for (size_t R = 0; R < Rules.size(); ++R) {
+          const std::vector<Symbol> &Vars = Rules[R].lhs().vars();
+          auto keys = [&](const RawMatches &Ms) {
+            std::vector<std::string> Keys;
+            for (const auto &[Root, S] : Ms[R])
+              Keys.push_back(matchKey(G, Vars, Root, S));
+            return Keys;
+          };
+          const std::vector<std::string> IncKeys = keys(Inc);
+          const std::vector<std::string> FilKeys = keys(Fil);
+          Unfiltered += IncKeys.size();
+          Filtered += FilKeys.size();
+          // An in-order subsequence of the unfiltered search.
+          size_t Next = 0;
+          for (const std::string &K : FilKeys) {
+            while (Next < IncKeys.size() && IncKeys[Next] != K)
+              ++Next;
+            ASSERT_LT(Next, IncKeys.size())
+                << Where << ", stage " << Stage << ": rule "
+                << Rules[R].name() << " match " << K
+                << " out of order or not in the unfiltered search";
+            ++Next;
+          }
+          // Holding every match the graph gained since the cursor (old
+          // matches re-canonicalized through today's union-find).
+          const std::vector<std::string> OldKeys = keys(Before);
+          const std::unordered_set<std::string> Old(OldKeys.begin(),
+                                                    OldKeys.end());
+          const std::unordered_set<std::string> Kept(FilKeys.begin(),
+                                                     FilKeys.end());
+          for (const std::string &K : keys(Full)) {
+            if (Old.count(K))
+              continue;
+            ++New;
+            EXPECT_TRUE(Kept.count(K))
+                << Where << ", stage " << Stage << ": rule "
+                << Rules[R].name() << " lost new match " << K;
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: matches were gained, and standing ones were skipped.
+  EXPECT_GT(New, 0u);
+  EXPECT_LT(Filtered, Unfiltered);
+}
+
+//===----------------------------------------------------------------------===//
 // Determinism: serial == parallel, run to run
 //===----------------------------------------------------------------------===//
 
@@ -309,14 +450,23 @@ TEST(MatchLimitWindow, ExplosiveRuleIsBannedUnderIncrementalSearch) {
 }
 
 TEST(MatchLimitWindow, RefoundStandingMatchesDoNotOverTrigger) {
-  // Ten disjoint unions: commutativity merges each once (10 distinct
-  // merges), then only re-finds the same standing matches. Total found
-  // across the run far exceeds the limit; the distinct-merge window stays
-  // at 10 and the per-search count at ~20, so nothing may be banned.
+  // Ten unions over every pair of five leaves: commutativity merges each
+  // once (10 distinct merges), then only re-finds the same standing
+  // matches. The unions are two thirds of the graph, so after the first
+  // iteration's merges the dirty closure exceeds half of it and the next
+  // search takes the unfiltered full-search fallback, re-finding all 20
+  // standing matches (an incremental search's root filter would skip the
+  // old spellings). Total found across the run exceeds the limit; the
+  // distinct-merge window stays at 10 and the per-search count at 20, so
+  // nothing may be banned.
   EGraph G;
-  for (int I = 1; I <= 10; ++I)
-    G.add(ENode(Op(OpKind::Union),
-                {addLeaf(G, I), addLeaf(G, 100 + I)}));
+  std::vector<EClassId> Leaves;
+  for (int I = 0; I < 5; ++I)
+    Leaves.push_back(
+        G.add(ENode(Op::makeVar(Symbol("v" + std::to_string(I))), {})));
+  for (size_t I = 0; I < Leaves.size(); ++I)
+    for (size_t J = I + 1; J < Leaves.size(); ++J)
+      G.add(ENode(Op(OpKind::Union), {Leaves[I], Leaves[J]}));
   G.rebuild();
   RunnerLimits L;
   L.MatchLimit = 25;
@@ -328,6 +478,10 @@ TEST(MatchLimitWindow, RefoundStandingMatchesDoNotOverTrigger) {
   for (const RuleStats &RS : Rep.Rules) {
     TotalFound += RS.Matches;
     EXPECT_EQ(RS.Bans, 0u) << RS.Name;
+    if (RS.Name == "union-comm") {
+      EXPECT_EQ(RS.Applied, 10u);
+      EXPECT_EQ(RS.FullSearches, 2u); // the re-find ran unfiltered
+    }
   }
   EXPECT_GT(TotalFound, L.MatchLimit); // the old accumulate-everything
                                        // semantics would have banned

@@ -158,6 +158,22 @@ TEST(ScadParseTest, NestingIsBoundedByMaxSourceDepth) {
   }
 }
 
+TEST(ScadParseTest, LongUnrolledLoopIsRejectedByTermDepth) {
+  // 48 bytes that unroll to a 300001-deep Union spine: every statement is
+  // shallow, so only the parsed term's depth can bound it. The parser
+  // returns a diagnostic and drops the spine without recursing.
+  const std::string Src = "for (i = [0:300000]) translate([i,0,0]) cube(1);";
+  ASSERT_EQ(Src.size(), 48u);
+  ScadResult R = parseScad(Src);
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos)
+      << R.Error;
+  // The bound is on depth: a spine under the limit parses.
+  ScadResult Ok = parseScad("for (i = [0:899]) translate([i,0,0]) cube(1);");
+  ASSERT_TRUE(Ok) << Ok.Error;
+  EXPECT_EQ(termPrimitives(Ok.Value), 900u);
+}
+
 TEST(ScadParseTest, GearProgramFlattens) {
   // An OpenSCAD gear rim like the Thingiverse models the paper flattened.
   const char *Src = R"(

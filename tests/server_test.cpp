@@ -338,6 +338,29 @@ TEST(ServerFrameTest, SubmitWithTooDeepSourceFailsTheJobNotTheServer) {
   submitAndWaitFrame(S, Sess, "after-deep-source");
 }
 
+TEST(ServerFrameTest, SubmitWithLongUnrolledLoopFailsTheJobNotTheServer) {
+  // A 48-byte scad loop whose unrolled Union spine is 300001 deep: it
+  // used to take the server down when the spine was destroyed.
+  Request R;
+  R.K = Request::Kind::Submit;
+  R.Name = "long-loop";
+  R.Source = "for (i = [0:300000]) translate([i,0,0]) cube(1);";
+  R.SourceIsScad = true;
+  R.TopK = 3;
+  Server S(quickConfig());
+  Server::Session Sess;
+  JsonValue Submitted = parsed(S.handleFrame(Sess, encodeRequest(R)));
+  ASSERT_TRUE(okOf(Submitted));
+  uint64_t Job = static_cast<uint64_t>(Submitted.get("job")->asNumber());
+  JsonValue Done = parsed(S.handleFrame(Sess, waitFrame(Job)));
+  EXPECT_TRUE(okOf(Done));
+  EXPECT_EQ(Done.get("status")->asString(), "failed");
+  EXPECT_NE(Done.get("error")->asString().find("nesting deeper than"),
+            std::string::npos)
+      << writeJson(Done);
+  submitAndWaitFrame(S, Sess, "after-long-loop");
+}
+
 //===----------------------------------------------------------------------===//
 // handleFrame: admission control
 //===----------------------------------------------------------------------===//

@@ -94,6 +94,29 @@ TEST(Snapshot, RoundTripSmallGraph) {
   EXPECT_EQ(*R.data(Five).NumConst, 5.0);
 }
 
+TEST(Snapshot, NodeStampsSurviveRoundTrip) {
+  // Stamps from add(), merges, repair's dedupe and constant-folded
+  // literal leaves all come back verbatim, with the head-kind masks.
+  EGraph G;
+  G.addTerm(models::modelByName("3148599:box-tray").FlatCsg);
+  G.addTerm(parse("(Add 2 3)"));
+  G.rebuild();
+  RunnerLimits L;
+  L.IterLimit = 3;
+  Runner(L).run(G, pipelineRules());
+
+  EGraph R;
+  ASSERT_EQ(restore(snapshotOf(G), R), "");
+  ASSERT_EQ(R.classIds(), G.classIds());
+  bool Distinct = false;
+  for (EClassId Id : G.classIds()) {
+    EXPECT_EQ(R.eclass(Id).NodeGens, G.eclass(Id).NodeGens) << Id;
+    EXPECT_EQ(R.eclass(Id).Kinds, G.eclass(Id).Kinds) << Id;
+    Distinct = Distinct || G.eclass(Id).NodeGens[0] != 1;
+  }
+  EXPECT_TRUE(Distinct);
+}
+
 TEST(Snapshot, RoundTripEmptyGraph) {
   EGraph G;
   EGraph R;
@@ -539,6 +562,77 @@ TEST(SnapshotEntryFuzz, CorruptDiskEntriesDegradeToMisses) {
   EXPECT_EQ(C.stats().SnapshotHits, 0u);
 }
 
+// Node stamps are checked field by field, like the pool back-references
+// above (a bit flip under a recomputed checksum would only sample them).
+// This forger walks a real graph blob to every class's stamp count and
+// every stamp, re-seals the blob with a count off by one and with a stamp
+// past the generation counter, and requires the matching diagnostic —
+// which the service turns into a snapshot miss.
+TEST(SnapshotEntryFuzz, ForgedNodeStampsRejected) {
+  service::SnapshotEntry Plain;
+  realEntryBlob(&Plain);
+  const std::string &Graph = Plain.Graph;
+  constexpr size_t Header = 24; // magic + version, u64 length, u64 hash
+
+  snapcodec::Reader R{Graph.substr(Header)};
+  const uint32_t NumIds = R.u32();
+  for (uint32_t I = 0; I < NumIds; ++I)
+    R.u32();
+  const uint64_t Gen = R.u64();
+  R.u64(); // dirty floor
+  const uint32_t NumLive = R.u32();
+  std::vector<size_t> CountOffsets, StampOffsets;
+  std::string Err;
+  for (uint32_t C = 0; C < NumLive; ++C) {
+    R.u32();
+    R.u8();
+    R.f64();
+    R.u8();
+    const uint32_t NumNodes = R.u32();
+    for (uint32_t N = 0; N < NumNodes; ++N)
+      ASSERT_TRUE(R.node(NumIds, Err).has_value()) << Err;
+    CountOffsets.push_back(Header + R.pos());
+    ASSERT_EQ(R.u32(), NumNodes);
+    for (uint32_t N = 0; N < NumNodes; ++N) {
+      StampOffsets.push_back(Header + R.pos());
+      ASSERT_LE(R.u64(), Gen);
+    }
+    const uint32_t NumParents = R.u32();
+    for (uint32_t P = 0; P < NumParents; ++P) {
+      ASSERT_TRUE(R.node(NumIds, Err).has_value()) << Err;
+      R.u32();
+    }
+    ASSERT_TRUE(R.ok());
+  }
+  ASSERT_FALSE(StampOffsets.empty());
+
+  auto forged = [&](size_t Offset, const void *V, size_t Size) {
+    std::string Bad = Graph;
+    std::memcpy(&Bad[Offset], V, Size);
+    const uint64_t H =
+        snapcodec::fnv1a(std::string_view(Bad).substr(Header));
+    std::memcpy(&Bad[16], &H, sizeof H);
+    EGraph Out;
+    std::istringstream Is(Bad);
+    std::string Diag = Out.deserialize(Is);
+    EXPECT_EQ(Out.numClasses(), 0u);
+    return Diag;
+  };
+  for (size_t Offset : CountOffsets) {
+    uint32_t Count;
+    std::memcpy(&Count, &Graph[Offset], sizeof Count);
+    for (const uint32_t Forged : {Count + 1, Count - 1})
+      EXPECT_EQ(forged(Offset, &Forged, sizeof Forged),
+                "node stamp count differs from node count")
+          << "count at byte " << Offset;
+  }
+  for (size_t Offset : StampOffsets)
+    for (const uint64_t Forged : {Gen + 1, ~uint64_t(0)})
+      EXPECT_EQ(forged(Offset, &Forged, sizeof Forged),
+                "node stamp beyond generation counter")
+          << "stamp at byte " << Offset;
+}
+
 // Format-version bumps are refused up front with the "unsupported"
 // family of diagnostics (distinct from corruption): a newer writer's
 // files must not be half-read by an older reader.
@@ -551,13 +645,13 @@ TEST(SnapshotEntryFuzz, FormatVersionBumpsAreUnsupportedNotCorrupt) {
   EXPECT_EQ(service::decodeSnapshotEntry(Blob, Out),
             "unsupported snapshot entry format version");
 
-  // The graph blob's version byte ("SRAYEGR2" -> "SRAYEGR1"): an entry
-  // that re-seals over a downgraded graph decodes, but the graph decoder
-  // refuses it before reading any further.
+  // The graph blob's version byte ("SRAYEGR3" -> "SRAYEGR2", the format
+  // before node stamps): an entry that re-seals over a downgraded graph
+  // decodes, but the graph decoder refuses it before reading any further.
   service::SnapshotEntry Plain;
   realEntryBlob(&Plain);
-  ASSERT_EQ(Plain.Graph.substr(0, 8), "SRAYEGR2");
-  Plain.Graph[7] = '1';
+  ASSERT_EQ(Plain.Graph.substr(0, 8), "SRAYEGR3");
+  Plain.Graph[7] = '2';
   const std::string Resealed = service::encodeSnapshotEntry(Plain);
   ASSERT_EQ(service::decodeSnapshotEntry(Resealed, Out), "");
   EGraph R;

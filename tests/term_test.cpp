@@ -125,6 +125,20 @@ TEST(TermTest, UnionAllBuildsRightNest) {
   EXPECT_EQ(U->child(1)->child(1)->kind(), OpKind::Cylinder);
 }
 
+TEST(TermTest, DroppingA300000DeepChainDoesNotRecurse) {
+  // Releasing the last reference to a long spine used to run one nested
+  // ~Term per level and overflow the stack; release is now iterative.
+  const uint64_t LiveBefore = termInternStats().Live;
+  {
+    TermPtr Chain = tUnit();
+    for (int I = 0; I < 300000; ++I)
+      Chain = tUnion(tTranslate(I, 0, 0, tUnit()), Chain);
+    EXPECT_GT(Chain->depth(), 300000u);
+    EXPECT_GT(termInternStats().Live, LiveBefore + 300000);
+  }
+  EXPECT_EQ(termInternStats().Live, LiveBefore);
+}
+
 TEST(TermTest, UnionAllOfEmptyListIsEmpty) {
   EXPECT_EQ(tUnionAll({})->kind(), OpKind::Empty);
 }
