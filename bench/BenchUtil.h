@@ -21,6 +21,7 @@
 #include "geom/Sample.h"
 #include "synth/Synthesizer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -65,6 +66,30 @@ private:
   std::chrono::steady_clock::time_point Start =
       std::chrono::steady_clock::now();
 };
+
+/// Seconds a fixed integer kernel takes on this machine: fill 2^19 words
+/// from an LCG, then sort them; best of three. The kernel never changes, so
+/// the ratio of a row's time to it compares runs made on machines of
+/// different speed (tools/bench_diff.py divides by it when both sides of a
+/// comparison carry it).
+inline double calibrationSeconds() {
+  static volatile uint64_t Sink = 0; // keeps the sorted words observable
+  std::vector<uint64_t> Words(size_t(1) << 19);
+  double Best = 0;
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    WallTimer T;
+    uint64_t X = 0x9e3779b97f4a7c15ull;
+    for (uint64_t &W : Words) {
+      X = X * 6364136223846793005ull + 1442695040888963407ull;
+      W = X ^ (X >> 29);
+    }
+    std::sort(Words.begin(), Words.end());
+    Sink = Sink ^ Words[Words.size() / 2];
+    const double Sec = T.seconds();
+    Best = Rep == 0 ? Sec : std::min(Best, Sec);
+  }
+  return Best;
+}
 
 /// Minimal-escape for JSON string values.
 inline std::string jsonEscape(const std::string &S) {
@@ -161,7 +186,8 @@ inline void addResourceFields(JsonObject &O) {
 /// headline metrics go on top(); per-model/per-config series go into row()
 /// entries. write() stamps a total "time_sec" (steady_clock, measured from
 /// construction) so every report is timed even if the harness records no
-/// finer-grained timing itself.
+/// finer-grained timing itself, and a "calibration_sec" from
+/// calibrationSeconds(), run after the harness's own work.
 ///
 /// The file lands in $SHRINKRAY_BENCH_DIR when set (the `bench` CMake
 /// target points it at the repo root), else the current directory.
@@ -185,6 +211,7 @@ public:
 
     std::string Out = "{\n  \"bench\": \"" + jsonEscape(Name) + "\",\n";
     Out += "  \"time_sec\": " + jsonDouble(Timer.seconds()) + ",\n";
+    Out += "  \"calibration_sec\": " + jsonDouble(calibrationSeconds()) + ",\n";
     Out += "  \"metrics\": " + Top.render();
     if (!Rows.empty()) {
       Out += ",\n  \"rows\": [\n";

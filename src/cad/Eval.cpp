@@ -2,6 +2,8 @@
 
 #include "cad/Eval.h"
 
+#include "cad/Sexp.h"
+
 #include "linalg/Vec3.h"
 
 #include <cmath>
@@ -110,6 +112,12 @@ public:
       return {nullptr, Diag};
     if (V->K != Value::Kind::Cad)
       return {nullptr, "program did not evaluate to a CAD solid"};
+    // A few bytes of Fold/Repeat flatten into a Union spine as long as the
+    // iteration count, and the walkers downstream recurse per level: bound
+    // the result as the parsers bound their input.
+    if (V->Cad->depth() > kMaxSourceDepth)
+      return {nullptr,
+              "nesting deeper than " + std::to_string(kMaxSourceDepth)};
     return {V->Cad, ""};
   }
 

@@ -42,7 +42,10 @@ struct EvalResult {
 /// Evaluates \p Program to flat CSG.
 ///
 /// \p FuelLimit bounds the number of evaluation steps so malformed inputs
-/// (e.g. unbounded recursion through App) terminate with an error.
+/// (e.g. unbounded recursion through App) terminate with an error. A
+/// result deeper than kMaxSourceDepth (cad/Sexp.h) fails with the parsers'
+/// "nesting deeper than" diagnostic: a short Fold over a long Repeat
+/// flattens into a Union spine as long as the repeat count.
 EvalResult evalToFlatCsg(const TermPtr &Program, uint64_t FuelLimit = 1u << 22);
 
 } // namespace shrinkray

@@ -47,11 +47,12 @@ struct ParseResult {
 /// accepts. Both recurse once per level, so a deeper source fails with a
 /// diagnostic instead of overflowing the stack; the corpus tops out near
 /// depth 65. It also bounds every parsed term's depth(), so the recursive
-/// term walkers downstream — EGraph::addTerm, printSexp, evalToFlatCsg —
-/// never see a deeper one: for parseSexp nesting and depth coincide, and
-/// scad::parseScad checks the depth of its result, since an unrolled loop
-/// nests no deeper than its body but builds a Union spine as long as its
-/// iteration count.
+/// term walkers downstream — printSexp, evalToFlatCsg, the solver
+/// preprocessing — never see a deeper one: for parseSexp nesting and depth
+/// coincide, and scad::parseScad checks the depth of its result, since an
+/// unrolled loop nests no deeper than its body but builds a Union spine as
+/// long as its iteration count. evalToFlatCsg bounds its result the same
+/// way, for the same reason. (EGraph::addTerm is iterative.)
 constexpr size_t kMaxSourceDepth = 1000;
 
 /// Parses a single term from \p Text. Trailing whitespace is allowed;

@@ -11,63 +11,151 @@
 
 using namespace shrinkray;
 
+void EGraph::canonicalizeChildren(ENode &Node) const {
+  for (size_t I = 0; I < Node.arity(); ++I)
+    Node.setChild(I, UF.find(Node.child(I)));
+}
+
 ENode EGraph::canonicalize(const ENode &Node) const {
   ENode Out = Node;
-  for (EClassId &Kid : Out.Children)
-    Kid = UF.find(Kid);
+  canonicalizeChildren(Out);
   return Out;
 }
 
+//===----------------------------------------------------------------------===//
+// Hash-consing memo
+//===----------------------------------------------------------------------===//
+
+size_t EGraph::memoFind(const ENode &Form, uint32_t Hash) const {
+  if (Memo.empty())
+    return SIZE_MAX;
+  const size_t Mask = Memo.size() - 1;
+  for (size_t I = Hash & Mask; Memo[I].NodePlus1; I = (I + 1) & Mask)
+    if (Memo[I].Hash == Hash && Nodes[Memo[I].NodePlus1 - 1] == Form)
+      return I;
+  return SIZE_MAX;
+}
+
+void EGraph::memoInsert(ENodeId N, uint32_t Hash) {
+  // Grow at 3/4 load, before probing, so the slot found below stays valid.
+  if ((MemoCount + 1) * 4 > Memo.size() * 3) {
+    std::vector<MemoSlot> Old(Memo.empty() ? 1024 : Memo.size() * 2);
+    Old.swap(Memo);
+    const size_t Mask = Memo.size() - 1;
+    for (const MemoSlot &Sl : Old) {
+      if (!Sl.NodePlus1)
+        continue;
+      size_t I = Sl.Hash & Mask;
+      while (Memo[I].NodePlus1)
+        I = (I + 1) & Mask;
+      Memo[I] = Sl;
+    }
+  }
+  const size_t Mask = Memo.size() - 1;
+  size_t I = Hash & Mask;
+  while (Memo[I].NodePlus1)
+    I = (I + 1) & Mask;
+  Memo[I] = MemoSlot{N + 1, Hash};
+  ++MemoCount;
+}
+
+void EGraph::memoErase(const ENode &Form) {
+  size_t I = memoFind(Form, memoHash(Form));
+  if (I == SIZE_MAX)
+    return;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home bucket lies cyclically in (hole, entry].
+  const size_t Mask = Memo.size() - 1;
+  for (size_t J = (I + 1) & Mask; Memo[J].NodePlus1; J = (J + 1) & Mask) {
+    const size_t Home = Memo[J].Hash & Mask;
+    const bool Stays =
+        I <= J ? (I < Home && Home <= J) : (I < Home || Home <= J);
+    if (!Stays) {
+      Memo[I] = Memo[J];
+      I = J;
+    }
+  }
+  Memo[I] = MemoSlot{};
+  --MemoCount;
+}
+
+void EGraph::rebuildMemo() {
+  Memo.clear();
+  MemoCount = 0;
+  // Dead nodes count too: when repair's dedupe drops a node whose stored
+  // form was the canonical one, the survivor's stored form may be stale.
+  for (ENodeId N = 0; N < Nodes.size(); ++N) {
+    const ENode &Form = Nodes[N];
+    const uint32_t H = memoHash(Form);
+    if (canonicalize(Form) == Form && memoFind(Form, H) == SIZE_MAX)
+      memoInsert(N, H);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Insertion, merge and rebuild
+//===----------------------------------------------------------------------===//
+
+ENodeId EGraph::newNode(ENode Node, EClassId Home) {
+  const ENodeId N = static_cast<ENodeId>(Nodes.size());
+  Nodes.push_back(std::move(Node));
+  NodeHome.push_back(Home);
+  NodeGens.push_back(Gen);
+  ++LiveNodes;
+  return N;
+}
+
 EClassId EGraph::add(ENode Node) {
-  Node = canonicalize(Node);
-  auto It = Memo.find(Node);
-  if (It != Memo.end())
-    return UF.find(It->second);
+  canonicalizeChildren(Node);
+  const uint32_t H = memoHash(Node);
+  if (size_t Slot = memoFind(Node, H); Slot != SIZE_MAX)
+    return nodeClass(Memo[Slot].NodePlus1 - 1);
 
   EClassId Id = UF.makeSet();
   touch(Id);
-  auto C = std::make_unique<EClass>();
-  C->Id = Id;
-  C->Nodes.push_back(Node);
-  C->NodeGens.push_back(Gen);
-  C->Kinds = opKindBit(Node.kind());
-  C->Data = makeData(Node);
-  for (EClassId Kid : Node.Children)
-    eclassMut(Kid).Parents.emplace_back(Node, Id);
+  const ENodeId N = newNode(std::move(Node), Id);
+  const ENode &Form = Nodes[N];
+  EClass C;
+  C.Id = Id;
+  C.Nodes.push_back(N);
+  C.Kinds = opKindBit(Form.kind());
+  C.Data = makeData(Form);
+  for (EClassId Kid : Form.children())
+    eclassMut(Kid).Parents.push_back(N);
   Classes.push_back(std::move(C));
   assert(Classes.size() == UF.size() && "class table out of sync");
   ++LiveClasses;
-  ++LiveNodes;
-  OpIndex[Node.Operator].push_back(Id);
-  Memo.emplace(std::move(Node), Id);
+  OpIndex[Form.Operator].push_back(Id);
+  memoInsert(N, H);
   modify(Id);
   return UF.find(Id);
 }
 
-namespace {
-
-EClassId addTermRec(EGraph &G, const TermPtr &T,
-                    std::unordered_map<const Term *, EClassId> &Memo) {
-  auto Hit = Memo.find(T.get());
-  if (Hit != Memo.end())
-    return Hit->second;
-  std::vector<EClassId> Kids;
-  Kids.reserve(T->numChildren());
-  for (const TermPtr &Kid : T->children())
-    Kids.push_back(addTermRec(G, Kid, Memo));
-  EClassId Id = G.add(ENode(T->op(), std::move(Kids)));
-  // Constant folding in add()/modify() may merge classes mid-call, leaving
-  // memoized ids stale. That is safe: a memoized id is only ever reused as a
-  // child of a later ENode, and add() canonicalizes child ids through find().
-  Memo.emplace(T.get(), Id);
-  return Id;
-}
-
-} // namespace
-
 EClassId EGraph::addTerm(const TermPtr &T) {
-  std::unordered_map<const Term *, EClassId> Memo;
-  return addTermRec(*this, T, Memo);
+  // Children first, on an explicit stack: a frame is revisited once all
+  // its children have ids. Shared subterms are added once (the e-graph
+  // would hash-cons them anyway; the memo skips the redundant probes).
+  // Constant folding in add()/modify() may merge classes mid-walk, leaving
+  // memoized ids stale. That is safe: a memoized id is only ever reused as
+  // a child of a later ENode, and add() canonicalizes child ids.
+  std::unordered_map<const Term *, EClassId> Done;
+  std::vector<std::pair<const Term *, size_t>> Stack{{T.get(), 0}};
+  std::vector<EClassId> Kids;
+  while (!Stack.empty()) {
+    auto &[Cur, NextKid] = Stack.back();
+    if (NextKid < Cur->numChildren()) {
+      const Term *Kid = Cur->child(NextKid++).get();
+      if (!Done.count(Kid))
+        Stack.emplace_back(Kid, 0);
+      continue;
+    }
+    Kids.clear();
+    for (const TermPtr &Kid : Cur->children())
+      Kids.push_back(Done.at(Kid.get()));
+    Done.emplace(Cur, add(ENode(Cur->op(), Kids)));
+    Stack.pop_back();
+  }
+  return Done.at(T.get());
 }
 
 std::pair<EClassId, bool> EGraph::merge(EClassId A, EClassId B) {
@@ -78,20 +166,19 @@ std::pair<EClassId, bool> EGraph::merge(EClassId A, EClassId B) {
 
   // Keep the class with more parents as the root: repair() revisits the
   // loser's parents, so this minimizes work.
-  if (Classes[A]->Parents.size() < Classes[B]->Parents.size())
+  if (Classes[A].Parents.size() < Classes[B].Parents.size())
     std::swap(A, B);
 
   UF.unite(A, B);
-  EClass &Root = *Classes[A];
-  std::unique_ptr<EClass> Loser = std::move(Classes[B]);
+  EClass &Root = Classes[A];
+  EClass Loser = std::move(Classes[B]);
+  Classes[B] = EClass();
 
-  for (ENode &N : Loser->Nodes)
-    Root.Nodes.push_back(std::move(N));
-  Root.NodeGens.append(Loser->NodeGens);
-  Root.Kinds |= Loser->Kinds;
-  for (auto &P : Loser->Parents)
-    Root.Parents.push_back(std::move(P));
-  bool DataChanged = joinData(Root.Data, Loser->Data);
+  Root.Nodes.insert(Root.Nodes.end(), Loser.Nodes.begin(), Loser.Nodes.end());
+  Root.Kinds |= Loser.Kinds;
+  Root.Parents.insert(Root.Parents.end(), Loser.Parents.begin(),
+                      Loser.Parents.end());
+  bool DataChanged = joinData(Root.Data, Loser.Data);
 
   // The loser's op-index entries stay put: B now find()s to A, which owns
   // the loser's nodes, so each entry still names a class containing its
@@ -120,45 +207,52 @@ void EGraph::rebuild() {
 }
 
 void EGraph::repair(EClassId Id) {
-  EClass &C = *Classes[UF.find(Id)];
-
   // Re-canonicalize parent e-nodes, restoring the hash-consing invariant and
-  // discovering congruent parents to merge.
-  std::vector<std::pair<ENode, EClassId>> OldParents;
-  OldParents.swap(C.Parents);
-  for (auto &[PNode, PClass] : OldParents) {
-    Memo.erase(PNode);
-    ENode Canon = canonicalize(PNode);
-    auto It = Memo.find(Canon);
-    if (It != Memo.end()) {
-      // Congruence: two parents became identical.
-      merge(PClass, It->second);
-      It->second = UF.find(PClass);
-    } else {
-      Memo.emplace(Canon, UF.find(PClass));
-    }
-    PNode = std::move(Canon);
-    PClass = UF.find(PClass);
+  // discovering congruent parents to merge. A parent's stored form is
+  // rewritten in place, so it leaves the memo first (the memo is keyed by
+  // stored forms) and re-enters under its canonical form unless a
+  // congruent node already holds that form.
+  std::vector<ENodeId> &OldParents = RepairParents;
+  {
+    EClass &C = Classes[UF.find(Id)];
+    OldParents.assign(C.Parents.begin(), C.Parents.end());
+    C.Parents.clear();
+  }
+  for (ENodeId P : OldParents) {
+    memoErase(Nodes[P]);
+    canonicalizeChildren(Nodes[P]);
+    const uint32_t H = memoHash(Nodes[P]);
+    size_t Slot = memoFind(Nodes[P], H);
+    if (Slot != SIZE_MAX)
+      merge(NodeHome[P], NodeHome[Memo[Slot].NodePlus1 - 1]); // congruence
+    else
+      memoInsert(P, H);
   }
 
-  // Dedupe parents; duplicates that became congruent are merged.
-  std::unordered_map<ENode, EClassId, ENodeHash> Seen;
-  for (auto &[PNode, PClass] : OldParents) {
-    ENode Canon = canonicalize(PNode);
-    EClassId PCanon = UF.find(PClass);
-    auto [It, Inserted] = Seen.emplace(std::move(Canon), PCanon);
-    if (!Inserted) {
-      merge(It->second, PCanon);
-      It->second = UF.find(It->second);
+  // Dedupe parents by canonical form, in first-occurrence order; a
+  // duplicate that became congruent is merged into its group's class.
+  // Group G's form is GroupForms[G]; its first entry and class are
+  // RepairFirst[G] and RepairClass[G].
+  beginGroups(OldParents.size());
+  RepairFirst.clear();
+  RepairClass.clear();
+  for (ENodeId P : OldParents) {
+    EClassId PCanon = nodeClass(P);
+    auto [G, New] = formGroup(canonicalForm(P));
+    if (New) {
+      RepairFirst.push_back(P);
+      RepairClass.push_back(PCanon);
+    } else {
+      merge(RepairClass[G], PCanon);
+      RepairClass[G] = UF.find(RepairClass[G]);
     }
   }
 
   // Push analysis data upward: a parent may now fold to a constant.
-  for (auto &[PNode, PClass] : Seen) {
-    EClassId PCanon = UF.find(PClass);
-    AnalysisData New = makeData(PNode);
-    EClass &Parent = *Classes[PCanon];
-    if (joinData(Parent.Data, New)) {
+  for (size_t G = 0; G < GroupForms.size(); ++G) {
+    EClassId PCanon = UF.find(RepairClass[G]);
+    AnalysisData New = makeData(GroupForms[G]);
+    if (joinData(Classes[PCanon].Data, New)) {
       // Data changes can flip rule guards (isConst etc.), so they must
       // make the class visible to incremental searches.
       touch(PCanon);
@@ -168,40 +262,60 @@ void EGraph::repair(EClassId Id) {
   }
 
   // Re-fetch: the merges above may have merged this class with another
-  // (self-referential nodes make that possible), invalidating references and
-  // possibly appending new parent entries that must be kept. Those appended
-  // entries are deduped by a later repair (the merge queued one).
-  EClass &C2 = *Classes[UF.find(Id)];
-  for (auto &[PNode, PClass] : Seen)
-    C2.Parents.emplace_back(PNode, UF.find(PClass));
+  // (self-referential nodes make that possible), possibly appending new
+  // parent entries that must be kept. Those appended entries are deduped
+  // by a later repair (the merge queued one).
+  EClass &C2 = Classes[UF.find(Id)];
+  C2.Parents.insert(C2.Parents.end(), RepairFirst.begin(), RepairFirst.end());
 
-  // Canonicalize and dedupe this class's own nodes. A surviving node keeps
-  // its first occurrence's stamp: two nodes only collapse after a child
-  // merge, which touched that child after every live search cursor, so
-  // the root filter rescans the survivor whichever stamp it carries.
-  // Compacts in place: slot Keep <= I is already read when it is written.
-  std::unordered_set<ENode, ENodeHash> NodeSet;
-  size_t Keep = 0;
-  for (size_t I = 0; I < C2.Nodes.size(); ++I) {
-    ENode Canon = canonicalize(C2.Nodes[I]);
-    if (NodeSet.insert(Canon).second) {
-      C2.Nodes[Keep] = std::move(Canon);
-      C2.NodeGens.set(Keep, C2.NodeGens[I]);
-      ++Keep;
-    }
+  // Dedupe this class's own nodes by canonical form. A surviving node keeps
+  // its own stamp, the first occurrence's: two nodes only collapse after a
+  // child merge, which touched that child after every live search cursor,
+  // so the root filter rescans the survivor whichever stamp it carries.
+  // Stored forms are left alone (the memo is keyed by them).
+  const size_t Before = C2.Nodes.size();
+  dedupeByForm(C2.Nodes);
+  assert(LiveNodes >= Before - C2.Nodes.size());
+  LiveNodes -= Before - C2.Nodes.size();
+}
+
+void EGraph::beginGroups(size_t Count) const {
+  GroupForms.clear();
+  GroupsScan = Count <= 8;
+  if (!GroupsScan)
+    GroupIndex.clear(); // O(buckets): only when the index is used
+}
+
+std::pair<size_t, bool> EGraph::formGroup(ENode Form) const {
+  // Short lists (most classes hold a node or two) compare forms pairwise;
+  // longer ones go through a hash index.
+  if (GroupsScan) {
+    auto It = std::find(GroupForms.begin(), GroupForms.end(), Form);
+    if (It != GroupForms.end())
+      return {static_cast<size_t>(It - GroupForms.begin()), false};
+  } else {
+    auto [It, Inserted] = GroupIndex.emplace(Form, GroupForms.size());
+    if (!Inserted)
+      return {It->second, false};
   }
-  assert(LiveNodes >= C2.Nodes.size() - Keep);
-  LiveNodes -= C2.Nodes.size() - Keep;
-  C2.Nodes.erase(C2.Nodes.begin() + static_cast<std::ptrdiff_t>(Keep),
-                 C2.Nodes.end());
-  C2.NodeGens.truncate(Keep);
+  GroupForms.push_back(std::move(Form));
+  return {GroupForms.size() - 1, true};
+}
+
+void EGraph::dedupeByForm(std::vector<ENodeId> &Ids) const {
+  beginGroups(Ids.size());
+  size_t Keep = 0;
+  for (ENodeId N : Ids)
+    if (formGroup(canonicalForm(N)).second)
+      Ids[Keep++] = N;
+  Ids.resize(Keep);
 }
 
 std::vector<EClassId> EGraph::classIds() const {
   std::vector<EClassId> Ids;
-  for (size_t I = 0; I < Classes.size(); ++I)
-    if (Classes[I])
-      Ids.push_back(static_cast<EClassId>(I));
+  for (EClassId I = 0; I < Classes.size(); ++I)
+    if (UF.rawParent(I) == I) // a root: its class is live
+      Ids.push_back(I);
   return Ids;
 }
 
@@ -222,34 +336,20 @@ const std::vector<EClassId> &EGraph::classesWithOp(const Op &O) const {
   return Ids;
 }
 
-const std::vector<std::pair<ENode, EClassId>> &
-EGraph::canonicalParents(EClassId Id) const {
+const std::vector<ENodeId> &EGraph::canonicalParents(EClassId Id) const {
   assert(!isDirty() && "parent query on an unrebuilt graph");
-  // Compact in place: canonicalize each entry and drop duplicates, keeping
-  // first-occurrence order (deterministic given the append order). On a
-  // clean graph the memo holds canonical forms, so rewriting an entry to
-  // its canonical form is exactly what the next repair() would do anyway.
-  // A generation stamp skips recompaction while the graph is unchanged
-  // (extraction queries each class's parents once per cost improvement).
-  EClass &C = *Classes[UF.find(Id)];
-  std::vector<std::pair<ENode, EClassId>> &Ps = C.Parents;
+  // Compact in place: drop entries whose canonical form repeats an earlier
+  // one, keeping first-occurrence order (deterministic given the append
+  // order). On a clean graph congruent parents share a class, so the kept
+  // entry names the right class for every dropped one. A generation stamp
+  // skips recompaction while the graph is unchanged (extraction queries
+  // each class's parents once per cost improvement).
+  const EClass &C = Classes[UF.find(Id)];
+  std::vector<ENodeId> &Ps = C.Parents;
   if (C.ParentsCompactedGen == Gen)
     return Ps;
   C.ParentsCompactedGen = Gen;
-  std::unordered_map<ENode, EClassId, ENodeHash> Seen;
-  size_t Keep = 0;
-  for (auto &[PNode, PClass] : Ps) {
-    ENode Canon = canonicalize(PNode);
-    EClassId PCanon = UF.find(PClass);
-    auto [It, Inserted] = Seen.emplace(Canon, PCanon);
-    if (!Inserted) {
-      assert(It->second == PCanon &&
-             "congruent parents in distinct classes on a clean graph");
-      continue;
-    }
-    Ps[Keep++] = {std::move(Canon), PCanon};
-  }
-  Ps.erase(Ps.begin() + static_cast<std::ptrdiff_t>(Keep), Ps.end());
+  dedupeByForm(Ps);
   return Ps;
 }
 
@@ -279,9 +379,8 @@ std::vector<EClassId> EGraph::takeDirtySince(uint64_t Since) const {
   while (!Stack.empty()) {
     EClassId Id = Stack.back();
     Stack.pop_back();
-    for (const auto &[PNode, PClass] : eclass(Id).Parents) {
-      (void)PNode;
-      EClassId PCanon = UF.find(PClass);
+    for (ENodeId P : eclass(Id).Parents) {
+      EClassId PCanon = nodeClass(P);
       if (InSet.insert(PCanon).second)
         Stack.push_back(PCanon);
     }
@@ -337,10 +436,11 @@ void EGraph::prepareForConcurrentReads() const {
 }
 
 std::optional<EClassId> EGraph::lookup(const ENode &Node) const {
-  auto It = Memo.find(canonicalize(Node));
-  if (It == Memo.end())
+  ENode Form = canonicalize(Node);
+  size_t Slot = memoFind(Form, memoHash(Form));
+  if (Slot == SIZE_MAX)
     return std::nullopt;
-  return UF.find(It->second);
+  return nodeClass(Memo[Slot].NodePlus1 - 1);
 }
 
 bool EGraph::representsTerm(EClassId Id, const TermPtr &T) const {
@@ -356,13 +456,13 @@ bool EGraph::representsTermRec(EClassId Id, const TermPtr &T,
   if (Hit != PerClass.end())
     return Hit->second;
   bool Result = false;
-  const EClass &C = eclass(Id);
-  for (const ENode &N : C.Nodes) {
-    if (N.Operator != T->op() || N.Children.size() != T->numChildren())
+  for (ENodeId NId : eclass(Id).Nodes) {
+    const ENode &N = Nodes[NId];
+    if (N.Operator != T->op() || N.arity() != T->numChildren())
       continue;
     bool AllMatch = true;
-    for (size_t I = 0; I < N.Children.size(); ++I) {
-      if (!representsTermRec(N.Children[I], T->child(I), Cache)) {
+    for (size_t I = 0; I < N.arity(); ++I) {
+      if (!representsTermRec(N.child(I), T->child(I), Cache)) {
         AllMatch = false;
         break;
       }
@@ -395,13 +495,13 @@ bool EGraph::representsTermApproxRec(EClassId Id, const TermPtr &T,
   if (Hit != PerClass.end())
     return Hit->second;
   bool Result = false;
-  const EClass &C = eclass(Id);
-  for (const ENode &N : C.Nodes) {
-    if (N.Operator != T->op() || N.Children.size() != T->numChildren())
+  for (ENodeId NId : eclass(Id).Nodes) {
+    const ENode &N = Nodes[NId];
+    if (N.Operator != T->op() || N.arity() != T->numChildren())
       continue;
     bool AllMatch = true;
-    for (size_t I = 0; I < N.Children.size(); ++I) {
-      if (!representsTermApproxRec(N.Children[I], T->child(I), Eps, Cache)) {
+    for (size_t I = 0; I < N.arity(); ++I) {
+      if (!representsTermApproxRec(N.child(I), T->child(I), Eps, Cache)) {
         AllMatch = false;
         break;
       }
@@ -431,8 +531,8 @@ AnalysisData EGraph::makeData(const ENode &Node) const {
   case OpKind::Sub:
   case OpKind::Mul:
   case OpKind::Div: {
-    const AnalysisData &A = data(Node.Children[0]);
-    const AnalysisData &B = data(Node.Children[1]);
+    const AnalysisData &A = data(Node.child(0));
+    const AnalysisData &B = data(Node.child(1));
     if (!A.NumConst || !B.NumConst)
       return Out;
     double X = *A.NumConst, Y = *B.NumConst;
@@ -458,7 +558,7 @@ AnalysisData EGraph::makeData(const ENode &Node) const {
   }
   case OpKind::Sin:
   case OpKind::Cos: {
-    const AnalysisData &A = data(Node.Children[0]);
+    const AnalysisData &A = data(Node.child(0));
     if (!A.NumConst)
       return Out;
     Out.NumConst = O.kind() == OpKind::Sin ? std::sin(degToRad(*A.NumConst))
@@ -490,7 +590,7 @@ bool EGraph::joinData(AnalysisData &Into, const AnalysisData &From) {
 
 void EGraph::modify(EClassId Id) {
   Id = UF.find(Id);
-  const AnalysisData D = Classes[Id]->Data; // copy: add() may reallocate
+  const AnalysisData D = Classes[Id].Data;
   if (!D.NumConst)
     return;
   // Materialize the constant as a literal leaf in this class so that
@@ -502,25 +602,25 @@ void EGraph::modify(EClassId Id) {
   Op Literal = Integral ? Op::makeInt(static_cast<int64_t>(*D.NumConst))
                         : Op::makeFloat(*D.NumConst);
   // The class now holds an integer-typed witness.
-  if (Integral && !Classes[Id]->Data.NumIsInt)
-    Classes[Id]->Data.NumIsInt = true;
+  if (Integral && !Classes[Id].Data.NumIsInt)
+    Classes[Id].Data.NumIsInt = true;
   ENode Leaf(Literal, {});
-  auto It = Memo.find(Leaf);
-  if (It != Memo.end()) {
-    if (UF.find(It->second) != Id)
-      merge(Id, It->second);
+  const uint32_t H = memoHash(Leaf);
+  if (size_t Slot = memoFind(Leaf, H); Slot != SIZE_MAX) {
+    EClassId Other = nodeClass(Memo[Slot].NodePlus1 - 1);
+    if (Other != Id)
+      merge(Id, Other);
     return;
   }
   // Insert the leaf directly into this class (bypassing add(), which would
   // create a fresh class).
   touch(Id);
-  EClass &C = *Classes[Id];
-  C.Nodes.push_back(Leaf);
-  C.NodeGens.push_back(Gen);
-  C.Kinds |= opKindBit(Leaf.kind());
-  ++LiveNodes;
-  OpIndex[Leaf.Operator].push_back(Id);
-  Memo.emplace(std::move(Leaf), Id);
+  const ENodeId N = newNode(std::move(Leaf), Id);
+  EClass &C = Classes[Id];
+  C.Nodes.push_back(N);
+  C.Kinds |= opKindBit(Literal.kind());
+  OpIndex[Literal].push_back(Id);
+  memoInsert(N, H);
 }
 
 std::string EGraph::checkInvariants() const {
@@ -528,109 +628,158 @@ std::string EGraph::checkInvariants() const {
     return "graph is dirty: call rebuild() before checking invariants";
   std::ostringstream Os;
 
-  // 1. Every canonical node of every class maps to that class in the memo
-  //    (hash-consing), and no two classes contain congruent nodes.
-  std::unordered_map<ENode, EClassId, ENodeHash> Seen;
+  // 0. The memo is a consistent index: every entry names a node, is keyed
+  //    by that node's stored form, and is reachable by probing for it.
+  size_t Occupied = 0;
+  for (size_t I = 0; I < Memo.size(); ++I) {
+    if (!Memo[I].NodePlus1)
+      continue;
+    ++Occupied;
+    const ENodeId N = Memo[I].NodePlus1 - 1;
+    if (N >= Nodes.size() || Memo[I].Hash != memoHash(Nodes[N]) ||
+        memoFind(Nodes[N], Memo[I].Hash) != I) {
+      Os << "memo slot " << I << " is not keyed by its node's stored form";
+      return Os.str();
+    }
+  }
+  if (Occupied != MemoCount) {
+    Os << "memo count " << MemoCount << " != occupied slots " << Occupied;
+    return Os.str();
+  }
+
+  // Canonical forms are identified by the memo node holding them (the
+  // memo holds at most one node per form), so the checks below compare
+  // forms as node ids instead of hashing e-nodes into scratch sets: this
+  // runs on every snapshot restore.
+  auto formId = [&](const ENode &Canon) -> std::optional<ENodeId> {
+    size_t Slot = memoFind(Canon, memoHash(Canon));
+    if (Slot == SIZE_MAX)
+      return std::nullopt;
+    return Memo[Slot].NodePlus1 - 1;
+  };
+
+  // 1. Every node of every class belongs to it by its home class, and its
+  //    canonical form maps to that class in the memo (hash-consing). This
+  //    implies congruence closure: two live nodes with one canonical form
+  //    in distinct classes cannot both map to their own class.
+  constexpr ENodeId NoForm = ~ENodeId(0);
+  std::vector<ENodeId> FormOf(Nodes.size(), NoForm); // live nodes only
   for (EClassId Id : classIds()) {
-    for (const ENode &N : eclass(Id).Nodes) {
-      ENode Canon = canonicalize(N);
-      auto MemoIt = Memo.find(Canon);
-      if (MemoIt == Memo.end()) {
-        Os << "node " << Canon.Operator.str() << " of class " << Id
+    for (ENodeId N : Classes[Id].Nodes) {
+      if (N >= Nodes.size() || nodeClass(N) != Id) {
+        Os << "class " << Id << " lists a node whose home class is not it";
+        return Os.str();
+      }
+      std::optional<ENodeId> Form = formId(canonicalForm(N));
+      if (!Form) {
+        Os << "node " << Nodes[N].Operator.str() << " of class " << Id
            << " missing from memo";
         return Os.str();
       }
-      if (UF.find(MemoIt->second) != Id) {
+      if (nodeClass(*Form) != Id) {
         Os << "memo maps a node of class " << Id << " to class "
-           << UF.find(MemoIt->second);
+           << nodeClass(*Form);
         return Os.str();
       }
-      auto [It, Inserted] = Seen.emplace(Canon, Id);
-      if (!Inserted && It->second != Id) {
-        Os << "congruence violation: identical node in classes "
-           << It->second << " and " << Id;
+      FormOf[N] = *Form;
+    }
+  }
+
+  // 2 + 3. Parent links, both directions, per child class. Check 2: every
+  // child of every live node has a parent entry of the node's canonical
+  // form (whose class is then the node's, by checks 1 and 3). Check 3:
+  // every parent entry is truthful — its canonical form is hash-consed to
+  // the class holding it and still references the child it is stored
+  // under. Entries may be stale forms, but canonicalization must repair
+  // them; canonicalParents() and the extraction engine's cost propagation
+  // rely on this. Nearly every entry is the referencing node itself, so
+  // the pass matches by node id first (stamp arrays, no hashing) and
+  // compares canonical forms only for what is left: twins repair's dedupe
+  // dropped and forged entries.
+  std::vector<uint32_t> Start(Classes.size() + 1, 0); // edges by child
+  for (EClassId Id : classIds())
+    for (ENodeId N : Classes[Id].Nodes)
+      for (EClassId Kid : Nodes[N].children())
+        ++Start[UF.find(Kid) + 1];
+  for (size_t I = 1; I < Start.size(); ++I)
+    Start[I] += Start[I - 1];
+  std::vector<ENodeId> EdgeNodes(Start.back());
+  {
+    std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+    for (EClassId Id : classIds())
+      for (ENodeId N : Classes[Id].Nodes)
+        for (EClassId Kid : Nodes[N].children())
+          EdgeNodes[Fill[UF.find(Kid)]++] = N;
+  }
+  std::vector<uint32_t> Listed(Nodes.size(), 0), Matched(Nodes.size(), 0);
+  std::vector<ENodeId> EntryForms;
+  for (EClassId Kid : classIds()) {
+    const uint32_t Stamp = Kid + 1;
+    const std::vector<ENodeId> &Entries = Classes[Kid].Parents;
+    for (ENodeId P : Entries) {
+      if (P >= Nodes.size()) {
+        Os << "class " << Kid << " holds a parent entry past the node table";
+        return Os.str();
+      }
+      Listed[P] = Stamp;
+    }
+    bool FormsBuilt = false;
+    for (uint32_t E = Start[Kid]; E < Start[Kid + 1]; ++E) {
+      const ENodeId N = EdgeNodes[E];
+      if (Listed[N] == Stamp) {
+        Matched[N] = Stamp;
+        continue;
+      }
+      if (!FormsBuilt) {
+        EntryForms.clear();
+        for (ENodeId P : Entries)
+          if (std::optional<ENodeId> Form = formId(canonicalForm(P)))
+            EntryForms.push_back(*Form);
+        std::sort(EntryForms.begin(), EntryForms.end());
+        FormsBuilt = true;
+      }
+      if (!std::binary_search(EntryForms.begin(), EntryForms.end(),
+                              FormOf[N])) {
+        Os << "class " << Kid << " missing parent entry for a node of class "
+           << nodeClass(N);
+        return Os.str();
+      }
+    }
+    for (ENodeId P : Entries) {
+      if (Matched[P] == Stamp)
+        continue; // a live node with child Kid, hash-consed by check 1
+      ENode Canon = canonicalForm(P);
+      std::optional<ENodeId> Form = formId(Canon);
+      if (!Form || nodeClass(*Form) != nodeClass(P)) {
+        Os << "class " << Kid << " holds a parent entry whose node is not "
+           << "hash-consed to class " << nodeClass(P);
+        return Os.str();
+      }
+      const ChildSpan Kids = Canon.children();
+      if (std::find(Kids.begin(), Kids.end(), Kid) == Kids.end()) {
+        Os << "class " << Kid << " holds a parent entry for a node of class "
+           << nodeClass(P) << " that no longer references it";
         return Os.str();
       }
     }
   }
 
-  // 2 + 3. Parent links, both directions. One pass over the stored parent
-  // entries canonicalizes each entry once, validates its truthfulness
-  // (check 3: its canonical form is a live e-node of the recorded parent
-  // class that still references the child it is stored under — entries
-  // may be stale forms, but canonicalization must repair them; this is
-  // what canonicalParents() and the extraction engine's cost propagation
-  // rely on), and indexes it per child class. Check 2 — every child of
-  // every node has a matching parent entry — is then a hash lookup per
-  // edge. (The naive form rescanned the child's whole parent list per
-  // edge, which is quadratic on parent-heavy classes: a restored
-  // nintendo-slot graph spent ~18 seconds here.)
-  struct ParentKey {
-    ENode N;
-    EClassId C;
-    bool operator==(const ParentKey &O) const { return C == O.C && N == O.N; }
-  };
-  struct ParentKeyHash {
-    size_t operator()(const ParentKey &K) const {
-      return ENodeHash()(K.N) * size_t(1000003) + K.C;
-    }
-  };
-  std::vector<std::unordered_set<ParentKey, ParentKeyHash>> ParentIndex(
-      Classes.size());
-  for (EClassId Id : classIds()) {
-    ParentIndex[Id].reserve(eclass(Id).Parents.size());
-    for (const auto &[PNode, PClass] : eclass(Id).Parents) {
-      ENode Canon = canonicalize(PNode);
-      auto MemoIt = Memo.find(Canon);
-      if (MemoIt == Memo.end() || UF.find(MemoIt->second) != UF.find(PClass)) {
-        Os << "class " << Id << " holds a parent entry whose node is not "
-           << "hash-consed to class " << UF.find(PClass);
-        return Os.str();
-      }
-      bool RefersBack = false;
-      for (EClassId Kid : Canon.Children)
-        if (UF.find(Kid) == Id) {
-          RefersBack = true;
-          break;
-        }
-      if (!RefersBack) {
-        Os << "class " << Id << " holds a parent entry for a node of class "
-           << UF.find(PClass) << " that no longer references it";
-        return Os.str();
-      }
-      ParentIndex[Id].insert({std::move(Canon), UF.find(PClass)});
-    }
+  // 4. No node stamp is from the future, and the head-kind mask is
+  //    exactly the kinds present.
+  if (NodeHome.size() != Nodes.size() || NodeGens.size() != Nodes.size()) {
+    Os << "node table columns differ in length";
+    return Os.str();
   }
   for (EClassId Id : classIds()) {
-    for (const ENode &N : eclass(Id).Nodes) {
-      ENode Canon = canonicalize(N);
-      for (EClassId Kid : Canon.Children) {
-        if (ParentIndex[Kid].find({Canon, Id}) == ParentIndex[Kid].end()) {
-          Os << "class " << Kid
-             << " missing parent entry for a node of class " << Id;
-          return Os.str();
-        }
-      }
-    }
-  }
-
-  // 4. Per-node stamps are parallel to the nodes and never from the
-  //    future, and the head-kind mask is exactly the kinds present.
-  for (EClassId Id : classIds()) {
-    const EClass &C = eclass(Id);
-    if (C.NodeGens.size() != C.Nodes.size()) {
-      Os << "class " << Id << " holds " << C.NodeGens.size()
-         << " node stamps for " << C.Nodes.size() << " nodes";
-      return Os.str();
-    }
+    const EClass &C = Classes[Id];
     uint64_t Kinds = 0;
-    for (size_t I = 0; I < C.Nodes.size(); ++I) {
-      if (C.NodeGens[I] > Gen) {
-        Os << "class " << Id << " holds a node stamped " << C.NodeGens[I]
+    for (ENodeId N : C.Nodes) {
+      if (NodeGens[N] > Gen) {
+        Os << "class " << Id << " holds a node stamped " << NodeGens[N]
            << " past generation " << Gen;
         return Os.str();
       }
-      Kinds |= opKindBit(C.Nodes[I].kind());
+      Kinds |= opKindBit(Nodes[N].kind());
     }
     if (C.Kinds != Kinds) {
       Os << "class " << Id << " head-kind mask disagrees with its nodes";
@@ -641,34 +790,40 @@ std::string EGraph::checkInvariants() const {
   // 5. The operator-head index agrees with a full rescan: for every Op,
   //    the canonicalized index bucket is exactly the set of classes
   //    containing a node with that head. (Read-only: buckets are
-  //    canonicalized into scratch sets, not compacted in place.)
-  std::unordered_map<Op, std::unordered_set<EClassId>> Rescan;
+  //    canonicalized into sorted copies, not compacted in place.)
+  //    Every listed class holds the head, and every node's class is
+  //    listed under its head.
+  std::unordered_map<Op, std::vector<EClassId>> Canon;
+  for (const auto &[O, Ids] : OpIndex) {
+    std::vector<EClassId> &Sorted = Canon[O];
+    for (EClassId Id : Ids)
+      Sorted.push_back(UF.find(Id));
+    std::sort(Sorted.begin(), Sorted.end());
+    Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
+    for (EClassId Id : Sorted) {
+      const std::vector<ENodeId> &Members = Classes[Id].Nodes;
+      if (std::none_of(Members.begin(), Members.end(),
+                       [&](ENodeId N) { return Nodes[N].Operator == O; })) {
+        Os << "op-index for " << O.str() << " lists class " << Id
+           << " without that head";
+        return Os.str();
+      }
+    }
+  }
   size_t RescanClasses = 0, RescanNodes = 0;
   for (EClassId Id : classIds()) {
     ++RescanClasses;
-    RescanNodes += eclass(Id).Nodes.size();
-    for (const ENode &N : eclass(Id).Nodes)
-      Rescan[N.Operator].insert(Id);
-  }
-  for (const auto &[O, Ids] : OpIndex) {
-    std::unordered_set<EClassId> Canon;
-    for (EClassId Id : Ids)
-      Canon.insert(UF.find(Id));
-    auto RescanIt = Rescan.find(O);
-    const std::unordered_set<EClassId> Want =
-        RescanIt == Rescan.end() ? std::unordered_set<EClassId>{}
-                                 : RescanIt->second;
-    if (Canon != Want) {
-      Os << "op-index for " << O.str() << " holds " << Canon.size()
-         << " classes but a rescan finds " << Want.size();
-      return Os.str();
+    RescanNodes += Classes[Id].Nodes.size();
+    for (ENodeId N : Classes[Id].Nodes) {
+      auto It = Canon.find(Nodes[N].Operator);
+      if (It == Canon.end() ||
+          !std::binary_search(It->second.begin(), It->second.end(), Id)) {
+        Os << "op-index for " << Nodes[N].Operator.str() << " misses class "
+           << Id;
+        return Os.str();
+      }
     }
   }
-  for (const auto &[O, Want] : Rescan)
-    if (OpIndex.find(O) == OpIndex.end() && !Want.empty()) {
-      Os << "op-index missing bucket for " << O.str();
-      return Os.str();
-    }
 
   // 6. The O(1) counters agree with a rescan.
   if (LiveClasses != RescanClasses) {
@@ -685,18 +840,19 @@ std::string EGraph::checkInvariants() const {
 std::string EGraph::dump() const {
   std::ostringstream Os;
   for (EClassId Id : classIds()) {
-    const EClass &C = *Classes[Id];
+    const EClass &C = Classes[Id];
     Os << "class " << Id;
     if (C.Data.NumConst)
       Os << " [const " << *C.Data.NumConst << (C.Data.NumIsInt ? "i" : "f")
          << "]";
     Os << ":\n";
-    for (const ENode &N : C.Nodes) {
+    for (ENodeId NId : C.Nodes) {
+      const ENode &N = Nodes[NId];
       Os << "  " << N.Operator.str() << "(";
-      for (size_t I = 0; I < N.Children.size(); ++I) {
+      for (size_t I = 0; I < N.arity(); ++I) {
         if (I)
           Os << ", ";
-        Os << UF.find(N.Children[I]);
+        Os << UF.find(N.child(I));
       }
       Os << ")\n";
     }

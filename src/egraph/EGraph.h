@@ -26,10 +26,16 @@
 ///    that are new or sit directly over a change,
 ///    and the extraction engine can re-derive costs for exactly the
 ///    classes whose best term may have changed, and
-///  * a merge-stable parent index: each class records the (e-node, class)
-///    pairs that reference it, compacted lazily by canonicalParents(), so
+///  * a merge-stable parent index: each class records the ids of the
+///    e-nodes that reference it, compacted lazily by canonicalParents(), so
 ///    cost improvements propagate bottom-up along exactly the edges that
 ///    can observe them (egg's extraction-as-analysis pattern).
+///
+/// Storage is flat (egg's layout): every e-node lives once in a per-graph
+/// node table addressed by 32-bit ENodeIds, with its children inline;
+/// classes sit in one vector indexed by class id and list their member
+/// and parent e-nodes by id; the hash-consing memo is an open-addressed
+/// table of node ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +46,6 @@
 #include "egraph/ENode.h"
 #include "egraph/UnionFind.h"
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -65,76 +70,30 @@ inline uint64_t opKindBit(OpKind K) {
   return uint64_t(1) << static_cast<unsigned>(K);
 }
 
-/// Creation stamps of a class's e-nodes, parallel to EClass::Nodes. The
-/// first stamp is stored inline: about two thirds of a saturated graph's
-/// classes hold one e-node, and a heap block per class for their stamps
-/// scatters the class tables enough to slow every walk over them
-/// (nintendo-slot: takeDirtySince ~1.6x, k-best refresh ~1.25x).
-class NodeStamps {
-public:
-  size_t size() const { return Count; }
-  uint64_t operator[](size_t I) const {
-    assert(I < Count && "node stamp index out of range");
-    return I == 0 ? First : Rest[I - 1];
-  }
-  void push_back(uint64_t Stamp) {
-    if (Count++ == 0)
-      First = Stamp;
-    else
-      Rest.push_back(Stamp);
-  }
-  void append(const NodeStamps &O) {
-    if (Count + O.Count > 1)
-      Rest.reserve(Count + O.Count - 1);
-    for (size_t I = 0; I < O.Count; ++I)
-      push_back(O[I]);
-  }
-  void set(size_t I, uint64_t Stamp) {
-    assert(I < Count && "node stamp index out of range");
-    (I == 0 ? First : Rest[I - 1]) = Stamp;
-  }
-  /// Keeps the first \p N stamps.
-  void truncate(size_t N) {
-    assert(N <= Count && "truncate cannot grow");
-    Count = N;
-    Rest.resize(N > 0 ? N - 1 : 0);
-  }
-
-  friend bool operator==(const NodeStamps &A, const NodeStamps &B) {
-    return A.Count == B.Count && (A.Count == 0 || A.First == B.First) &&
-           A.Rest == B.Rest;
-  }
-
-private:
-  uint64_t First = 0;
-  std::vector<uint64_t> Rest;
-  size_t Count = 0;
-};
-
-/// An equivalence class of e-nodes.
+/// An equivalence class of e-nodes. Its nodes and parent entries are ids
+/// into the graph's node table (EGraph::node()).
 struct EClass {
   EClassId Id = 0;
-  std::vector<ENode> Nodes;
-  /// Creation stamp per e-node, parallel to Nodes: the graph generation at
-  /// which the node entered the graph (add() or a constant-folded literal
-  /// leaf). Merges carry stamps along; repair's dedupe keeps the first
-  /// occurrence's. An incremental search at cursor C may skip a root
-  /// e-node stamped <= C whose children are all outside the dirty closure
-  /// since C: every match through it was already found at C (see
-  /// RuleSet::RootFilter).
-  NodeStamps NodeGens;
+  /// Member e-nodes. A node's creation stamp lives in the node table
+  /// (EGraph::nodeGen()), so merges and repair's dedupe carry stamps along
+  /// with the ids.
+  std::vector<ENodeId> Nodes;
   /// opKindBit() of every head kind among Nodes. Monotone: a class only
   /// gains heads (merges union node sets, dedupe keeps one copy of each),
   /// so this is exact, and the Runner filters dirty classes by head kind
   /// without touching the op-index.
   uint64_t Kinds = 0;
-  /// (parent e-node, class containing it) pairs; forms may be stale between
-  /// rebuilds and are re-canonicalized during repair.
-  std::vector<std::pair<ENode, EClassId>> Parents;
+  /// E-nodes that have this class among their children; the class holding
+  /// each is EGraph::nodeClass(). A node's stored form may be stale between
+  /// rebuilds (queries canonicalize through find()), and an entry may
+  /// repeat or name a congruent twin until canonicalParents() compacts it.
+  /// mutable: canonicalParents() compacts it in place, a cache-maintenance
+  /// detail of a logically const query.
+  mutable std::vector<ENodeId> Parents;
   /// Graph generation as of the last canonicalParents() compaction; when it
   /// still matches, the Parents list is known-canonical and compaction is
   /// skipped. 0 = never compacted.
-  uint64_t ParentsCompactedGen = 0;
+  mutable uint64_t ParentsCompactedGen = 0;
   AnalysisData Data;
 };
 
@@ -152,7 +111,8 @@ public:
   /// Adds a whole term bottom-up; returns the class of its root. Terms
   /// are interned DAGs, so shared subtrees are visited once (a per-call
   /// pointer-keyed memo — the e-graph hash-conses equal nodes to the
-  /// same class anyway, this just skips the redundant probes).
+  /// same class anyway, this just skips the redundant probes). Iterative:
+  /// terms built in code are not depth-bounded by the parsers.
   EClassId addTerm(const TermPtr &T);
 
   /// Unifies two classes. Returns the canonical id of the merged class and
@@ -168,11 +128,29 @@ public:
 
   EClassId find(EClassId Id) const { return UF.find(Id); }
 
-  const EClass &eclass(EClassId Id) const {
-    const EClass *C = Classes[UF.find(Id)].get();
-    assert(C && "canonical class must be live");
-    return *C;
+  const EClass &eclass(EClassId Id) const { return Classes[UF.find(Id)]; }
+
+  /// E-node \p N of the node table. Its stored children may be stale
+  /// (canonicalize through find()). The reference is valid until the next
+  /// graph mutation: insertion grows the table.
+  const ENode &node(ENodeId N) const {
+    assert(N < Nodes.size() && "node id out of range");
+    return Nodes[N];
   }
+
+  /// Canonical id of the class holding e-node \p N.
+  EClassId nodeClass(ENodeId N) const { return UF.find(NodeHome[N]); }
+
+  /// Creation stamp of e-node \p N: the graph generation at which it
+  /// entered the graph (add() or a constant-folded literal leaf). An
+  /// incremental search at cursor C may skip a root e-node stamped <= C
+  /// whose children are all outside the dirty closure since C: every match
+  /// through it was already found at C (see RuleSet::RootFilter).
+  uint64_t nodeGen(ENodeId N) const { return NodeGens[N]; }
+
+  /// Size of the node table, dead nodes included (a node repair's dedupe
+  /// dropped from its class stays addressable by parent entries).
+  size_t numNodeIds() const { return Nodes.size(); }
 
   const AnalysisData &data(EClassId Id) const { return eclass(Id).Data; }
 
@@ -218,7 +196,7 @@ public:
   ///
   /// A class in the result may hold e-nodes that did not change: the
   /// Runner's incremental search re-searches only those stamped after
-  /// \p Since (EClass::NodeGens) or with a child in the result.
+  /// \p Since (nodeGen()) or with a child in the result.
   ///
   /// If the log prefix covering \p Since has been dropped by
   /// compactDirtyLog() (possible only for cursors never registered as a
@@ -264,16 +242,16 @@ public:
   /// mutations is a generation-stamp check. Requires a clean graph.
   void prepareForConcurrentReads() const;
 
-  /// The parent index of \p Id: (parent e-node, class containing it) pairs
-  /// for every e-node that has \p Id among its children, canonicalized and
-  /// deduplicated. Like classesWithOp(), the underlying storage is
-  /// merge-stable (a merge concatenates the loser's entries onto the
-  /// winner; stale forms still canonicalize truthfully) and is compacted
-  /// in place on access, so the amortized cost is proportional to churn,
-  /// not to repeated queries. Requires a clean graph; the returned
-  /// reference is valid until the next graph mutation.
-  const std::vector<std::pair<ENode, EClassId>> &
-  canonicalParents(EClassId Id) const;
+  /// The parent index of \p Id: one e-node id per distinct canonical
+  /// e-node that has \p Id among its children (nodeClass() names the class
+  /// containing it; its stored form canonicalizes to the distinct node).
+  /// Like classesWithOp(), the underlying storage is merge-stable (a merge
+  /// concatenates the loser's entries onto the winner; stale forms still
+  /// canonicalize truthfully) and is compacted in place on access, so the
+  /// amortized cost is proportional to churn, not to repeated queries.
+  /// Requires a clean graph; the returned reference is valid until the
+  /// next graph mutation.
+  const std::vector<ENodeId> &canonicalParents(EClassId Id) const;
 
   /// Canonicalizes an e-node's children.
   ENode canonicalize(const ENode &Node) const;
@@ -292,8 +270,9 @@ public:
   std::string dump() const;
 
   /// Serializes the complete logical graph state — union-find raw parent
-  /// slots, every class's e-nodes, node stamps and parent entries verbatim
-  /// (including stale child ids, which queries canonicalize on the fly),
+  /// slots, the node table verbatim (including stale child ids, which
+  /// queries canonicalize on the fly) with each node's stamp and home
+  /// class, every class's node and parent ids,
   /// analysis data, the generation counter, and the dirty log + compaction
   /// floor — behind a magic/version/checksum header (see docs/ARCHITECTURE.md,
   /// "Snapshot format"). Restoring and continuing is bit-identical to
@@ -305,8 +284,8 @@ public:
 
   /// Restores a snapshot written by serialize() into *this, which must be
   /// freshly default-constructed. The hash-consing memo and the op-index
-  /// are rebuilt from the class tables (their query results are a pure
-  /// function of the classes). Returns "" on success; on any failure —
+  /// are rebuilt from the class and node tables (their query results are
+  /// a pure function of them). Returns "" on success; on any failure —
   /// bad magic, version mismatch, truncation, checksum mismatch, count
   /// fields exceeding the payload, or a payload that decodes to an
   /// inconsistent graph (the restored state must pass checkInvariants(),
@@ -315,9 +294,11 @@ public:
   std::string deserialize(std::istream &Is);
 
   /// Validates the e-graph's internal invariants (canonical hash-consing,
-  /// congruence closure, parent-pointer consistency, one node stamp per
-  /// e-node and none past generation(), exact head-kind masks,
-  /// operator-index agreement with a full rescan, and counter accuracy).
+  /// memo entries keyed by their nodes' stored forms, class membership
+  /// agreeing with each node's home class, congruence closure,
+  /// parent-pointer consistency, no node stamp past generation(), exact
+  /// head-kind masks, operator-index agreement with a full rescan, and
+  /// counter accuracy).
   /// Returns an empty string when everything holds, else a description of
   /// the first violation. Requires a clean graph (rebuild() first).
   /// Intended for tests and debugging; O(nodes * arity).
@@ -325,10 +306,45 @@ public:
 
 private:
   UnionFind UF;
-  /// Indexed by id; only canonical ids hold live classes.
-  std::vector<std::unique_ptr<EClass>> Classes;
-  std::unordered_map<ENode, EClassId, ENodeHash> Memo;
+  /// Indexed by class id; only canonical ids hold live classes (a merge
+  /// empties the loser's entry).
+  std::vector<EClass> Classes;
+
+  /// The node table, addressed by ENodeId. Append-only: a node dropped
+  /// from its class by repair's dedupe stays addressable, because parent
+  /// entries may still name it (its form canonicalizes to the survivor's).
+  std::vector<ENode> Nodes;
+  /// Class each node entered (add()'s fresh class, or the class a literal
+  /// leaf was folded into); find() of it is the node's class.
+  std::vector<EClassId> NodeHome;
+  /// Creation stamp per node (nodeGen()).
+  std::vector<uint64_t> NodeGens;
+
+  /// Hash-consing memo: an open-addressed (linear probing) set of node
+  /// ids keyed by each node's *stored* form, at most one per form. A
+  /// node's stored form only changes inside repair(), which takes it out
+  /// of the memo first. The class a form hash-conses to is nodeClass() of
+  /// its entry. Slot = node id + 1 (0 = empty) and 32 hash bits, which
+  /// also pick the home bucket, so deletion can shift entries back.
+  struct MemoSlot {
+    uint32_t NodePlus1 = 0;
+    uint32_t Hash = 0;
+  };
+  std::vector<MemoSlot> Memo;
+  size_t MemoCount = 0;
+
   std::vector<EClassId> Worklist;
+
+  /// repair() scratch, kept across calls: its parent list, and per form
+  /// group the first parent entry and that entry's class.
+  std::vector<ENodeId> RepairParents;
+  std::vector<ENodeId> RepairFirst;
+  std::vector<EClassId> RepairClass;
+  /// Form groups of beginGroups()/formGroup(), in first-occurrence order.
+  /// mutable: canonicalParents() compacts with them too.
+  mutable std::vector<ENode> GroupForms;
+  mutable std::unordered_map<ENode, size_t, ENodeHash> GroupIndex;
+  mutable bool GroupsScan = true;
 
   /// Operator-head index: Op -> class ids owning an e-node with that head.
   /// Entries are appended on insertion and never eagerly removed; a merge
@@ -364,11 +380,40 @@ private:
   /// Logs a touch of \p Id (must be canonical) at a fresh generation.
   void touch(EClassId Id) { DirtyLog.emplace_back(++Gen, Id); }
 
-  EClass &eclassMut(EClassId Id) {
-    EClass *C = Classes[UF.find(Id)].get();
-    assert(C && "canonical class must be live");
-    return *C;
+  EClass &eclassMut(EClassId Id) { return Classes[UF.find(Id)]; }
+
+  /// Appends \p Node to the node table as a member of class \p Home,
+  /// stamped with the current generation.
+  ENodeId newNode(ENode Node, EClassId Home);
+
+  /// Replaces \p Node's children by their canonical ids.
+  void canonicalizeChildren(ENode &Node) const;
+
+  /// Copy of \p N with canonical children.
+  ENode canonicalForm(ENodeId N) const { return canonicalize(Nodes[N]); }
+
+  /// Starts grouping up to \p Count canonical forms.
+  void beginGroups(size_t Count) const;
+  /// Index of \p Form's group, and whether the group is new (appended to
+  /// GroupForms).
+  std::pair<size_t, bool> formGroup(ENode Form) const;
+
+  /// Drops each id of \p Ids whose canonical form equals an earlier one's,
+  /// keeping first-occurrence order. Stored forms are left alone.
+  void dedupeByForm(std::vector<ENodeId> &Ids) const;
+
+  static uint32_t memoHash(const ENode &Form) {
+    return static_cast<uint32_t>(mix64(Form.hash()) >> 32);
   }
+  /// Memo slot holding a node stored as \p Form, or SIZE_MAX.
+  size_t memoFind(const ENode &Form, uint32_t Hash) const;
+  /// Inserts node \p N (no entry for its stored form may exist).
+  void memoInsert(ENodeId N, uint32_t Hash);
+  /// Removes the entry keyed by \p Form, if any.
+  void memoErase(const ENode &Form);
+  /// Rebuilds the memo from every node whose stored form is canonical
+  /// (snapshot restore).
+  void rebuildMemo();
 
   /// Computes the analysis data an e-node would contribute.
   AnalysisData makeData(const ENode &Node) const;

@@ -55,10 +55,10 @@ int opCompare(const Op &A, const Op &B) {
 int enodeCompare(const EGraph &G, const ENode &A, const ENode &B) {
   if (int C = opCompare(A.Operator, B.Operator))
     return C;
-  if (A.Children.size() != B.Children.size())
-    return A.Children.size() < B.Children.size() ? -1 : 1;
-  for (size_t I = 0; I < A.Children.size(); ++I) {
-    EClassId CA = G.find(A.Children[I]), CB = G.find(B.Children[I]);
+  if (A.arity() != B.arity())
+    return A.arity() < B.arity() ? -1 : 1;
+  for (size_t I = 0; I < A.arity(); ++I) {
+    EClassId CA = G.find(A.child(I)), CB = G.find(B.child(I));
     if (CA != CB)
       return CA < CB ? -1 : 1;
   }
@@ -94,7 +94,7 @@ std::optional<double> nodeCost(const EGraph &G, const CostFn &Fn,
                                const CostTable &Costs, const ENode &Node,
                                std::vector<double> &Kids) {
   Kids.clear();
-  for (EClassId Kid : Node.Children) {
+  for (EClassId Kid : Node.children()) {
     const double *C = findCost(Costs, G.find(Kid));
     if (!C)
       return std::nullopt;
@@ -130,7 +130,7 @@ const std::vector<ExtractCandidate> *candList(const KTable &Table,
 std::vector<ExtractCandidate> combineClass(const EGraph &G, const CostFn &Fn,
                                            size_t K, EClassId Id,
                                            const KTable &Table) {
-  const std::vector<ENode> &Nodes = G.eclass(Id).Nodes;
+  const std::vector<ENodeId> &Nodes = G.eclass(Id).Nodes;
 
   // Resolved child candidate lists, flattened across nodes; a node with a
   // candidate-less child stays unusable this round (Arity == NotUsable).
@@ -138,9 +138,9 @@ std::vector<ExtractCandidate> combineClass(const EGraph &G, const CostFn &Fn,
   std::vector<const std::vector<ExtractCandidate> *> ChildLists;
   std::vector<std::pair<size_t, size_t>> Span(Nodes.size()); // offset, arity
   for (size_t N = 0; N < Nodes.size(); ++N) {
-    const ENode &Node = Nodes[N];
-    Span[N] = {ChildLists.size(), Node.Children.size()};
-    for (EClassId Kid : Node.Children) {
+    const ENode &Node = G.node(Nodes[N]);
+    Span[N] = {ChildLists.size(), Node.arity()};
+    for (EClassId Kid : Node.children()) {
       const std::vector<ExtractCandidate> *L = candList(Table, G, Kid);
       if (!L) {
         ChildLists.resize(Span[N].first);
@@ -160,7 +160,7 @@ std::vector<ExtractCandidate> combineClass(const EGraph &G, const CostFn &Fn,
     CostScratch.resize(Ix.size());
     for (size_t I = 0; I < Ix.size(); ++I)
       CostScratch[I] = kidCand(N, I, Ix).Cost;
-    return Fn.cost(Nodes[N].Operator, CostScratch);
+    return Fn.cost(G.node(Nodes[N]).Operator, CostScratch);
   };
 
   // Frontier items carry the position they last bumped; successors only
@@ -222,7 +222,7 @@ std::vector<ExtractCandidate> combineClass(const EGraph &G, const CostFn &Fn,
   while (!Frontier.empty() && Out.size() < K) {
     Item Top = Frontier.top();
     Frontier.pop();
-    const ENode &Node = Nodes[Top.NodeIdx];
+    const ENode &Node = G.node(Nodes[Top.NodeIdx]);
     const size_t Arity = Top.Ix.size();
 
     // O(arity): child candidates carry their value hashes already.
@@ -314,8 +314,8 @@ TermPtr buildFromChoices(
   assert(It != Choices.end() && "extracting from a class with no finite cost");
   const ENode &Node = It->second;
   std::vector<TermPtr> Kids;
-  Kids.reserve(Node.Children.size());
-  for (EClassId Kid : Node.Children)
+  Kids.reserve(Node.arity());
+  for (EClassId Kid : Node.children())
     Kids.push_back(buildFromChoices(G, Choices, Memo, Kid));
   TermPtr T = makeTerm(Node.Operator, std::move(Kids));
   Memo.emplace(Id, T);
@@ -434,8 +434,8 @@ void Extractor::deriveFrom(const std::vector<EClassId> &Seeds) {
   for (EClassId S : Seeds) {
     EClassId Id = G.find(S);
     bool Improved = false;
-    for (const ENode &Node : G.eclass(Id).Nodes)
-      Improved = relax(Id, Node) || Improved;
+    for (ENodeId N : G.eclass(Id).Nodes)
+      Improved = relax(Id, G.node(N)) || Improved;
     if (Improved)
       push(Id);
   }
@@ -443,9 +443,11 @@ void Extractor::deriveFrom(const std::vector<EClassId> &Seeds) {
     EClassId Id = WL.back();
     WL.pop_back();
     InWL[Id] = 0;
-    for (const auto &[PNode, PClass] : G.canonicalParents(Id))
-      if (relax(PClass, PNode))
+    for (ENodeId P : G.canonicalParents(Id)) {
+      const EClassId PClass = G.nodeClass(P);
+      if (relax(PClass, G.node(P)))
         push(PClass);
+    }
   }
 }
 
@@ -558,7 +560,8 @@ ReferenceExtractor::ReferenceExtractor(const EGraph &G, const CostFn &Fn)
   while (Changed) {
     Changed = false;
     for (EClassId Id : G.classIds()) {
-      for (const ENode &Node : G.eclass(Id).Nodes) {
+      for (ENodeId N : G.eclass(Id).Nodes) {
+        const ENode &Node = G.node(N);
         std::optional<double> C = nodeCost(G, Fn, Costs, Node, KidScratch);
         if (!C)
           continue;
@@ -689,8 +692,8 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
     return;
 
   auto isReady = [&](EClassId Id) {
-    for (const ENode &Node : G.eclass(Id).Nodes)
-      for (EClassId Kid : Node.Children) {
+    for (ENodeId N : G.eclass(Id).Nodes)
+      for (EClassId Kid : G.node(N).children()) {
         EClassId C = G.find(Kid);
         if (C != Id && Pending[C])
           return false;
@@ -798,9 +801,8 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
         Slot = NewList;
         Changed = true;
       }
-      for (const auto &[PNode, PClass] : G.canonicalParents(Id)) {
-        (void)PNode;
-        EClassId P = G.find(PClass);
+      for (ENodeId PNode : G.canonicalParents(Id)) {
+        EClassId P = G.nodeClass(PNode);
         if (Changed)
           enqueue(P);
         else if (Pending[P])
@@ -935,7 +937,7 @@ TermPtr KBestExtractor::materializeRow(uint32_t Root) const {
 
 std::vector<KBestExtractor::PendingCand>
 KBestExtractor::combineClass(EClassId Id) const {
-  const std::vector<ENode> &Nodes = G.eclass(Id).Nodes;
+  const std::vector<ENodeId> &Nodes = G.eclass(Id).Nodes;
 
   // Resolved child candidate lists, flattened across nodes; a node with a
   // candidate-less child stays unusable this round (Arity == NotUsable).
@@ -943,9 +945,9 @@ KBestExtractor::combineClass(EClassId Id) const {
   std::vector<const std::vector<CandRef> *> ChildLists;
   std::vector<std::pair<size_t, size_t>> Span(Nodes.size()); // offset, arity
   for (size_t N = 0; N < Nodes.size(); ++N) {
-    const ENode &Node = Nodes[N];
-    Span[N] = {ChildLists.size(), Node.Children.size()};
-    for (EClassId Kid : Node.Children) {
+    const ENode &Node = G.node(Nodes[N]);
+    Span[N] = {ChildLists.size(), Node.arity()};
+    for (EClassId Kid : Node.children()) {
       auto It = Table.find(G.find(Kid));
       if (It == Table.end() || It->second.empty()) {
         ChildLists.resize(Span[N].first);
@@ -986,7 +988,7 @@ KBestExtractor::combineClass(EClassId Id) const {
     CostScratch.resize(Arity);
     for (size_t I = 0; I < Arity; ++I)
       CostScratch[I] = kidRef(N, I, IxPool[IxBegin + I]).Cost;
-    return Fn.cost(Nodes[N].Operator, CostScratch);
+    return Fn.cost(G.node(Nodes[N]).Operator, CostScratch);
   };
 
   std::priority_queue<Item, std::vector<Item>, decltype(Later)> Frontier(
@@ -1025,7 +1027,7 @@ KBestExtractor::combineClass(EClassId Id) const {
   while (!Frontier.empty() && Out.size() < K) {
     Item Top = Frontier.top();
     Frontier.pop();
-    const ENode &Node = Nodes[Top.NodeIdx];
+    const ENode &Node = G.node(Nodes[Top.NodeIdx]);
     const size_t Arity = Top.Arity;
 
     // O(arity): child rows carry their value hashes already.

@@ -89,13 +89,13 @@ void MatchProgram::run(const EGraph &G, EClassId Root,
   size_t Pc = 0;
   auto tryEnter = [&](Frame &F) -> bool {
     const MatchInstr &I = Instrs[F.Pc];
-    const std::vector<ENode> &Nodes = G.eclass(Regs[I.In]).Nodes;
+    const std::vector<ENodeId> &Nodes = G.eclass(Regs[I.In]).Nodes;
     for (uint32_t N = F.NodeIdx; N < Nodes.size(); ++N) {
-      const ENode &Node = Nodes[N];
-      if (Node.Operator != I.Operator || Node.Children.size() != I.Arity)
+      const ENode &Node = G.node(Nodes[N]);
+      if (Node.Operator != I.Operator || Node.arity() != I.Arity)
         continue;
       for (uint16_t C = 0; C < I.Arity; ++C)
-        Regs[I.Out + C] = Node.Children[C];
+        Regs[I.Out + C] = Node.child(C);
       F.NodeIdx = N + 1;
       Pc = F.Pc + 1;
       return true;
@@ -180,9 +180,9 @@ private:
       S.pop();
       return;
     }
-    for (const ENode &Node : G.eclass(Class).Nodes) {
-      if (Node.Operator != Pat->op() ||
-          Node.Children.size() != Pat->numChildren())
+    for (ENodeId N : G.eclass(Class).Nodes) {
+      const ENode &Node = G.node(N);
+      if (Node.Operator != Pat->op() || Node.arity() != Pat->numChildren())
         continue;
       recChildren(Pat, Node, 0, S, K);
     }
@@ -194,7 +194,7 @@ private:
       K();
       return;
     }
-    rec(Pat->child(I), Node.Children[I], S,
+    rec(Pat->child(I), Node.child(I), S,
         [&] { recChildren(Pat, Node, I + 1, S, K); });
   }
 };
@@ -247,7 +247,7 @@ EClassId Pattern::instantiate(EGraph &G, const Subst &S) const {
       Kids.reserve(Pat->numChildren());
       for (const TermPtr &Kid : Pat->children())
         Kids.push_back(rec(Kid));
-      return G.add(ENode(Pat->op(), std::move(Kids)));
+      return G.add(ENode(Pat->op(), Kids));
     }
   };
   return Builder{G, S}.rec(Root);

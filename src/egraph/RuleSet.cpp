@@ -137,18 +137,18 @@ void RuleSet::searchGroup(
     // so a Bind reading it is a root Bind, where the filter applies.
     const EClass &Cls = G.eclass(Regs[I.In]);
     const bool FilterRoot = Filter && I.In == 0;
-    for (size_t NI = 0; NI < Cls.Nodes.size(); ++NI) {
-      const ENode &Node = Cls.Nodes[NI];
-      if (Node.Operator != I.Operator || Node.Children.size() != I.Arity)
+    for (ENodeId NI : Cls.Nodes) {
+      const ENode &Node = G.node(NI);
+      if (Node.Operator != I.Operator || Node.arity() != I.Arity)
         continue;
-      if (FilterRoot && Cls.NodeGens[NI] <= Filter->Cursor &&
-          std::none_of(Node.Children.begin(), Node.Children.end(),
-                       [&](EClassId Kid) {
-                         return Filter->isDirty(G.find(Kid));
-                       }))
+      const ChildSpan Kids = Node.children();
+      if (FilterRoot && G.nodeGen(NI) <= Filter->Cursor &&
+          std::none_of(Kids.begin(), Kids.end(), [&](EClassId Kid) {
+            return Filter->isDirty(G.find(Kid));
+          }))
         continue;
       for (uint16_t C = 0; C < I.Arity; ++C)
-        Regs[I.Out + C] = Node.Children[C];
+        Regs[I.Out + C] = Kids[C];
       emitLeaves(N);
       for (uint32_t Kid : N.Kids)
         Self(Self, Kid);

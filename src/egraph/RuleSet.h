@@ -143,7 +143,7 @@ public:
   };
 
   /// The incremental filter for the root Bind: a search at cursor
-  /// \c Cursor may skip any root e-node stamped <= Cursor (EClass::NodeGens)
+  /// \c Cursor may skip any root e-node stamped <= Cursor (EGraph::nodeGen)
   /// whose canonical children are all clear in \c Dirty, a bitmap over
   /// class ids of EGraph::takeDirtySince(Cursor). Such a node and every
   /// class below it are unchanged since the cursor, and guards read only

@@ -15,27 +15,36 @@
 ///                                     state included, so find() chains are
 ///                                     identical after restore)
 ///   u64 Gen, u64 DirtyFloor
+///   u32 NumNodes                   -- node-table size, dead nodes included
+///   per node, ascending id:
+///     Op, u32 Arity, u32 Child[Arity]
+///     u32 Home                     -- class the node entered (< NumIds)
+///     varint StampDelta            -- creation stamp minus the previous
+///                                     node's (stamps never decrease along
+///                                     the table; each <= Gen)
 ///   u32 NumLiveClasses
 ///   per live class, ascending id:
 ///     u32 Id
 ///     analysis: u8 HasConst, f64 Const, u8 IsInt
-///     u32 NumNodes,   each: Op, u32 Arity, u32 Child[Arity]
-///     u32 NumStamps,  each: u64 NodeGen  -- == NumNodes, each <= Gen
-///     u32 NumParents, each: parent ENode (same encoding), u32 ParentClass
+///     u32 NumNodes,   each: u32 NodeId
+///     u32 NumParents, each: u32 NodeId
 ///   u64 DirtyLogLen, each entry: u64 Gen, u32 ClassId
 ///
-/// E-nodes and parent entries are stored with their *raw* (possibly stale,
-/// non-canonical) child ids: queries canonicalize through find() on the
-/// fly, so preserving the raw forms — rather than re-canonicalizing during
-/// serialization — is what makes restore + continue bit-identical to an
-/// uninterrupted run. The hash-consing memo and the operator-head index
-/// are not stored: both are pure functions of the class tables and are
-/// rebuilt during restore (their query results are order-insensitive —
-/// classesWithOp() sorts, memo values are find()'d on use), as is each
-/// class's head-kind mask. Node creation stamps are stored: restoring them
-/// as "new" would let the first incremental search after restore re-find
+/// E-nodes are stored with their *raw* (possibly stale, non-canonical)
+/// child ids: queries canonicalize through find() on the fly, so
+/// preserving the raw forms — rather than re-canonicalizing during
+/// serialization — keeps restore + continue bit-identical to an
+/// uninterrupted run. Parent entries are node ids, and dead nodes (dropped
+/// from their class by repair's dedupe) are kept because parent entries
+/// may still name them. The hash-consing memo and the operator-head index
+/// are not stored: both are functions of the node and class tables and
+/// are rebuilt during restore (their query results are order-insensitive
+/// — classesWithOp() sorts, and which of several congruent nodes keys a
+/// memo form does not matter: its class is the same), as is each class's
+/// head-kind mask. Node creation stamps are stored: restoring them as
+/// "new" would let the first incremental search after restore re-find
 /// standing matches the uninterrupted run skips, shifting match-limit
-/// counts.
+/// counts. A stamp is a small delta from its predecessor, hence varint.
 ///
 /// Ops serialize by kind tag plus payload; Symbol payloads serialize as
 /// their spellings because intern ids are process-local.
@@ -73,8 +82,10 @@ using snapcodec::fnv1a;
 ///        consumers can trust that cursor/extraction blobs paired with the
 ///        graph were produced by a resume-aware writer
 ///   '3'  per-node creation stamps after each class's e-nodes
+///   '4'  one node table (delta/varint stamps, home classes); classes
+///        and parent entries list node ids
 constexpr char SnapshotMagicPrefix[7] = {'S', 'R', 'A', 'Y', 'E', 'G', 'R'};
-constexpr char SnapshotVersion = '3';
+constexpr char SnapshotVersion = '4';
 
 } // namespace
 
@@ -89,26 +100,29 @@ void EGraph::serialize(std::ostream &Os) const {
   W.u64(Gen);
   W.u64(DirtyFloor);
 
+  W.u32(static_cast<uint32_t>(Nodes.size()));
+  uint64_t PrevStamp = 0;
+  for (ENodeId N = 0; N < Nodes.size(); ++N) {
+    W.node(Nodes[N]);
+    W.u32(NodeHome[N]);
+    assert(NodeGens[N] >= PrevStamp && "node stamps decrease along the table");
+    W.varint(NodeGens[N] - PrevStamp);
+    PrevStamp = NodeGens[N];
+  }
+
   W.u32(static_cast<uint32_t>(LiveClasses));
-  for (uint32_t Id = 0; Id < NumIds; ++Id) {
-    const EClass *C = Classes[Id].get();
-    if (!C)
-      continue;
+  for (EClassId Id : classIds()) {
+    const EClass &C = Classes[Id];
     W.u32(Id);
-    W.u8(C->Data.NumConst.has_value() ? 1 : 0);
-    W.f64(C->Data.NumConst.value_or(0.0));
-    W.u8(C->Data.NumIsInt ? 1 : 0);
-    W.u32(static_cast<uint32_t>(C->Nodes.size()));
-    for (const ENode &N : C->Nodes)
-      W.node(N);
-    W.u32(static_cast<uint32_t>(C->NodeGens.size()));
-    for (size_t I = 0; I < C->NodeGens.size(); ++I)
-      W.u64(C->NodeGens[I]);
-    W.u32(static_cast<uint32_t>(C->Parents.size()));
-    for (const auto &[PNode, PClass] : C->Parents) {
-      W.node(PNode);
-      W.u32(PClass);
-    }
+    W.u8(C.Data.NumConst.has_value() ? 1 : 0);
+    W.f64(C.Data.NumConst.value_or(0.0));
+    W.u8(C.Data.NumIsInt ? 1 : 0);
+    W.u32(static_cast<uint32_t>(C.Nodes.size()));
+    for (ENodeId N : C.Nodes)
+      W.u32(N);
+    W.u32(static_cast<uint32_t>(C.Parents.size()));
+    for (ENodeId P : C.Parents)
+      W.u32(P);
   }
 
   W.u64(DirtyLog.size());
@@ -199,13 +213,46 @@ std::string EGraph::deserialize(std::istream &Is) {
   if (SnapFloor > SnapGen && R.ok())
     return "dirty floor beyond generation counter";
 
+  const uint32_t NumNodes = R.u32();
+  // Minimum node: 1-byte op kind + 4-byte arity + 4-byte home + 1-byte
+  // stamp delta.
+  if (!R.ok() || !R.fits(NumNodes, 10))
+    return "truncated snapshot payload";
+  std::vector<ENode> NewNodes;
+  std::vector<EClassId> NewHome;
+  std::vector<uint64_t> NewGens;
+  NewNodes.reserve(NumNodes);
+  NewHome.reserve(NumNodes);
+  NewGens.reserve(NumNodes);
+  uint64_t Stamp = 0;
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    std::optional<ENode> Node = R.node(NumIds, Err);
+    if (!Node)
+      return Err.empty() ? "truncated e-node" : Err;
+    const uint32_t Home = R.u32();
+    if (!R.ok())
+      return "truncated snapshot payload";
+    if (Home >= NumIds)
+      return "node home class out of range";
+    const uint64_t Delta = R.varint();
+    if (!R.ok())
+      return "truncated or malformed node stamp";
+    if (Delta > SnapGen - Stamp)
+      return "node stamp beyond generation counter";
+    Stamp += Delta;
+    NewNodes.push_back(std::move(*Node));
+    NewHome.push_back(Home);
+    NewGens.push_back(Stamp);
+  }
+
   const uint32_t NumLive = R.u32();
   if (!R.ok())
     return "truncated snapshot payload";
   if (NumLive > NumIds)
     return "live-class count exceeds id space";
 
-  std::vector<std::unique_ptr<EClass>> NewClasses(NumIds);
+  std::vector<EClass> NewClasses(NumIds);
+  std::vector<uint8_t> IsLive(NumIds, 0);
   uint32_t PrevId = 0;
   bool FirstClass = true;
   size_t NewLiveNodes = 0;
@@ -219,60 +266,43 @@ std::string EGraph::deserialize(std::istream &Is) {
     PrevId = Id;
     if (RawParents[Id] != Id)
       return "live class is not a union-find root";
+    IsLive[Id] = 1;
 
-    auto C = std::make_unique<EClass>();
-    C->Id = Id;
+    EClass &C = NewClasses[Id];
+    C.Id = Id;
     bool HasConst = R.u8() != 0;
     double Const = R.f64();
     bool IsInt = R.u8() != 0;
     if (HasConst) {
       if (std::isnan(Const))
         return "NaN class constant";
-      C->Data.NumConst = Const;
+      C.Data.NumConst = Const;
     }
-    C->Data.NumIsInt = IsInt;
+    C.Data.NumIsInt = IsInt;
 
-    uint32_t NumNodes = R.u32();
-    // Minimum e-node encoding: 1-byte op kind + 4-byte arity.
-    if (!R.ok() || !R.fits(NumNodes, 5))
+    uint32_t NumMembers = R.u32();
+    if (!R.ok() || !R.fits(NumMembers, sizeof(uint32_t)))
       return "truncated snapshot payload";
-    C->Nodes.reserve(NumNodes);
-    for (uint32_t N = 0; N < NumNodes; ++N) {
-      std::optional<ENode> Node = R.node(NumIds, Err);
-      if (!Node)
-        return Err.empty() ? "truncated e-node" : Err;
-      C->Kinds |= opKindBit(Node->kind());
-      C->Nodes.push_back(std::move(*Node));
+    C.Nodes.reserve(NumMembers);
+    for (uint32_t M = 0; M < NumMembers; ++M) {
+      const uint32_t N = R.u32();
+      if (!R.ok() || N >= NumNodes)
+        return "class node id out of range";
+      C.Kinds |= opKindBit(NewNodes[N].kind());
+      C.Nodes.push_back(N);
     }
-    NewLiveNodes += C->Nodes.size();
-
-    uint32_t NumStamps = R.u32();
-    if (!R.ok() || NumStamps != NumNodes)
-      return "node stamp count differs from node count";
-    if (!R.fits(NumStamps, sizeof(uint64_t)))
-      return "truncated snapshot payload";
-    for (uint32_t N = 0; N < NumStamps; ++N) {
-      const uint64_t Stamp = R.u64();
-      if (Stamp > SnapGen && R.ok())
-        return "node stamp beyond generation counter";
-      C->NodeGens.push_back(Stamp);
-    }
+    NewLiveNodes += C.Nodes.size();
 
     uint32_t NumParents = R.u32();
-    // Minimum parent encoding: an e-node (5) + a 4-byte class id.
-    if (!R.ok() || !R.fits(NumParents, 9))
+    if (!R.ok() || !R.fits(NumParents, sizeof(uint32_t)))
       return "truncated snapshot payload";
-    C->Parents.reserve(NumParents);
+    C.Parents.reserve(NumParents);
     for (uint32_t P = 0; P < NumParents; ++P) {
-      std::optional<ENode> Node = R.node(NumIds, Err);
-      if (!Node)
-        return Err.empty() ? "truncated parent e-node" : Err;
-      uint32_t PClass = R.u32();
-      if (!R.ok() || PClass >= NumIds)
-        return "parent class id out of range";
-      C->Parents.emplace_back(std::move(*Node), PClass);
+      const uint32_t N = R.u32();
+      if (!R.ok() || N >= NumNodes)
+        return "parent node id out of range";
+      C.Parents.push_back(N);
     }
-    NewClasses[Id] = std::move(C);
   }
 
   const uint64_t LogLen = R.u64();
@@ -303,29 +333,19 @@ std::string EGraph::deserialize(std::istream &Is) {
   UnionFind NewUF;
   NewUF.restoreRaw(std::move(RawParents));
   for (uint32_t Id = 0; Id < NumIds; ++Id)
-    if (!NewClasses[NewUF.find(Id)])
+    if (!IsLive[NewUF.find(Id)])
       return "id resolves to a dead class";
 
-  std::unordered_map<ENode, EClassId, ENodeHash> NewMemo;
   std::unordered_map<Op, std::vector<EClassId>> NewOpIndex;
-  for (uint32_t Id = 0; Id < NumIds; ++Id) {
-    const EClass *C = NewClasses[Id].get();
-    if (!C)
-      continue;
-    for (const ENode &N : C->Nodes) {
-      ENode Canon = N;
-      for (EClassId &Kid : Canon.Children)
-        Kid = NewUF.find(Kid);
-      auto [It, Inserted] = NewMemo.emplace(std::move(Canon), Id);
-      if (!Inserted && It->second != Id)
-        return "congruent e-nodes in distinct classes";
-      NewOpIndex[N.Operator].push_back(Id);
-    }
-  }
+  for (uint32_t Id = 0; Id < NumIds; ++Id)
+    for (ENodeId N : NewClasses[Id].Nodes)
+      NewOpIndex[NewNodes[N].Operator].push_back(Id);
 
   UF = std::move(NewUF);
   Classes = std::move(NewClasses);
-  Memo = std::move(NewMemo);
+  Nodes = std::move(NewNodes);
+  NodeHome = std::move(NewHome);
+  NodeGens = std::move(NewGens);
   OpIndex = std::move(NewOpIndex);
   Worklist.clear();
   DirtyLog = std::move(NewLog);
@@ -334,6 +354,7 @@ std::string EGraph::deserialize(std::istream &Is) {
   PreparedGen = 0;
   LiveClasses = NumLive;
   LiveNodes = NewLiveNodes;
+  rebuildMemo();
 
   // Full structural cross-validation. The checksum is integrity, not
   // authenticity: a decodable payload can still describe an inconsistent
@@ -348,7 +369,11 @@ std::string EGraph::deserialize(std::istream &Is) {
   if (!Inv.empty()) {
     UF = UnionFind();
     Classes.clear();
+    Nodes.clear();
+    NodeHome.clear();
+    NodeGens.clear();
     Memo.clear();
+    MemoCount = 0;
     OpIndex.clear();
     DirtyLog.clear();
     Gen = 0;

@@ -43,6 +43,12 @@ public:
   void u8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
   void u32(uint32_t V) { raw(&V, sizeof V); }
   void u64(uint64_t V) { raw(&V, sizeof V); }
+  /// LEB128: seven bits per byte, low group first, high bit = more.
+  void varint(uint64_t V) {
+    for (; V >= 0x80; V >>= 7)
+      u8(static_cast<uint8_t>(V | 0x80));
+    u8(static_cast<uint8_t>(V));
+  }
   void f64(double V) {
     uint64_t Bits;
     std::memcpy(&Bits, &V, sizeof Bits);
@@ -77,8 +83,8 @@ public:
 
   void node(const ENode &N) {
     op(N.Operator);
-    u32(static_cast<uint32_t>(N.Children.size()));
-    for (EClassId Kid : N.Children)
+    u32(static_cast<uint32_t>(N.arity()));
+    for (EClassId Kid : N.children())
       u32(Kid);
   }
 
@@ -130,6 +136,23 @@ public:
     uint64_t V = 0;
     raw(&V, sizeof V);
     return V;
+  }
+  /// Decodes a Writer::varint. Fails on more than ten bytes or a value
+  /// past 64 bits.
+  uint64_t varint() {
+    uint64_t V = 0;
+    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
+      const uint8_t B = u8();
+      if (!Ok)
+        return 0;
+      if (Shift == 63 && B > 1)
+        break; // bits past the 64th
+      V |= static_cast<uint64_t>(B & 0x7f) << Shift;
+      if (!(B & 0x80))
+        return V;
+    }
+    Ok = false;
+    return 0;
   }
   double f64() {
     uint64_t Bits = u64();
@@ -204,8 +227,13 @@ public:
       Ok = false;
       return std::nullopt;
     }
-    std::vector<EClassId> Kids;
-    Kids.reserve(Arity);
+    EClassId Inline[ENode::InlineArity];
+    std::vector<EClassId> Spilled; // only for nodes wider than inline
+    EClassId *Kids = Inline;
+    if (Arity > ENode::InlineArity) {
+      Spilled.resize(Arity);
+      Kids = Spilled.data();
+    }
     for (uint32_t I = 0; I < Arity; ++I) {
       uint32_t Kid = u32();
       if (!Ok || Kid >= NumIds) {
@@ -213,9 +241,9 @@ public:
         Ok = false;
         return std::nullopt;
       }
-      Kids.push_back(Kid);
+      Kids[I] = Kid;
     }
-    return ENode(std::move(*O), std::move(Kids));
+    return ENode(std::move(*O), Kids, Arity);
   }
 
   /// Fails the reader with \p Err unless already failed.

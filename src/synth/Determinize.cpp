@@ -32,15 +32,16 @@ shrinkray::spineElements(const EGraph &G, EClassId ListClass) {
     const EClass &C = G.eclass(Cur);
     const ENode *ConsNode = nullptr;
     bool HasNil = false;
-    for (const ENode &N : C.Nodes) {
+    for (ENodeId NId : C.Nodes) {
+      const ENode &N = G.node(NId);
       if (N.kind() == OpKind::Cons)
         ConsNode = &N;
       if (N.kind() == OpKind::Nil)
         HasNil = true;
     }
     if (ConsNode) {
-      Out.push_back(G.find(ConsNode->Children[0]));
-      Cur = G.find(ConsNode->Children[1]);
+      Out.push_back(G.find(ConsNode->child(0)));
+      Cur = G.find(ConsNode->child(1));
       continue;
     }
     if (HasNil)
@@ -53,12 +54,13 @@ shrinkray::spineElements(const EGraph &G, EClassId ListClass) {
 /// components are analysis constants.
 static std::optional<Vec3> literalVecOfClass(const EGraph &G,
                                              EClassId VecClass) {
-  for (const ENode &N : G.eclass(VecClass).Nodes) {
+  for (ENodeId NId : G.eclass(VecClass).Nodes) {
+    const ENode &N = G.node(NId);
     if (N.kind() != OpKind::Vec3Ctor)
       continue;
-    const AnalysisData &X = G.data(N.Children[0]);
-    const AnalysisData &Y = G.data(N.Children[1]);
-    const AnalysisData &Z = G.data(N.Children[2]);
+    const AnalysisData &X = G.data(N.child(0));
+    const AnalysisData &Y = G.data(N.child(1));
+    const AnalysisData &Z = G.data(N.child(2));
     if (X.NumConst && Y.NumConst && Z.NumConst)
       return Vec3{*X.NumConst, *Y.NumConst, *Z.NumConst};
   }
@@ -78,14 +80,15 @@ static void chainsRec(const EGraph &G, EClassId Element, size_t MaxDepth,
 
   if (Prefix.size() >= MaxDepth || !OnPath.insert(Element).second)
     return;
-  for (const ENode &N : G.eclass(Element).Nodes) {
+  for (ENodeId NId : G.eclass(Element).Nodes) {
+    const ENode &N = G.node(NId);
     if (!isAffineOp(N.kind()))
       continue;
-    std::optional<Vec3> V = literalVecOfClass(G, N.Children[0]);
+    std::optional<Vec3> V = literalVecOfClass(G, N.child(0));
     if (!V)
       continue;
     Prefix.push_back(AffineLayer{N.kind(), *V});
-    chainsRec(G, N.Children[1], MaxDepth, MaxChains, Prefix, OnPath, Out);
+    chainsRec(G, N.child(1), MaxDepth, MaxChains, Prefix, OnPath, Out);
     Prefix.pop_back();
     if (Out.size() >= MaxChains)
       break;

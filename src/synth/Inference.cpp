@@ -152,17 +152,19 @@ std::optional<EClassId> sharedOuterChild(const EGraph &G,
   std::optional<EClassId> Shared;
   for (size_t I = 0; I < D.numElements(); ++I) {
     bool Found = false;
-    for (const ENode &N : G.eclass(D.Elements[I]).Nodes) {
+    for (ENodeId NId : G.eclass(D.Elements[I]).Nodes) {
+      const ENode &N = G.node(NId);
       if (N.kind() != D.LayerKinds[0])
         continue;
       // Match the vector recorded by the determinizer.
       bool VecMatches = false;
-      for (const ENode &VN : G.eclass(N.Children[0]).Nodes) {
+      for (ENodeId VId : G.eclass(N.child(0)).Nodes) {
+        const ENode &VN = G.node(VId);
         if (VN.kind() != OpKind::Vec3Ctor)
           continue;
-        Vec3 V{G.data(VN.Children[0]).NumConst.value_or(1e300),
-               G.data(VN.Children[1]).NumConst.value_or(1e300),
-               G.data(VN.Children[2]).NumConst.value_or(1e300)};
+        Vec3 V{G.data(VN.child(0)).NumConst.value_or(1e300),
+               G.data(VN.child(1)).NumConst.value_or(1e300),
+               G.data(VN.child(2)).NumConst.value_or(1e300)};
         if (V.approxEquals(D.Vectors[0][I], 1e-9)) {
           VecMatches = true;
           break;
@@ -170,7 +172,7 @@ std::optional<EClassId> sharedOuterChild(const EGraph &G,
       }
       if (!VecMatches)
         continue;
-      EClassId Child = G.find(N.Children[1]);
+      EClassId Child = G.find(N.child(1));
       if (!Shared)
         Shared = Child;
       if (*Shared != Child)

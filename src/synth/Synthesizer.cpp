@@ -301,8 +301,8 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       while (!Work.empty()) {
         const EClassId Id = Work.back();
         Work.pop_back();
-        for (const ENode &N : G.eclass(Id).Nodes)
-          for (EClassId Kid : N.Children) {
+        for (ENodeId N : G.eclass(Id).Nodes)
+          for (EClassId Kid : G.node(N).children()) {
             const EClassId C = G.find(Kid);
             if (!Reachable[C]) {
               Reachable[C] = 1;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tests for tools/bench_diff.py --against-best.
+"""Tests for tools/bench_diff.py --against-best and calibration units.
 
 Each case builds a throwaway git repository in a temporary directory,
 commits a short BENCH_demo.json history into it, writes a fresh result
@@ -18,8 +18,11 @@ import unittest
 TOOL = None  # path to bench_diff.py, from argv
 
 
-def bench(rows, total=1.0):
-    return {"bench": "demo", "time_sec": total, "metrics": {}, "rows": rows}
+def bench(rows, total=1.0, calibration=None):
+    doc = {"bench": "demo", "time_sec": total, "metrics": {}, "rows": rows}
+    if calibration is not None:
+        doc["calibration_sec"] = calibration
+    return doc
 
 
 def row(model, time_sec, extract_sec=None):
@@ -116,6 +119,51 @@ class AgainstBestTest(unittest.TestCase):
         done = self.run_tool(bench([row("other", 1.0)]))
         self.assertEqual(done.returncode, 1, done.stdout)
         self.assertIn("MISSING ROW [demo] model=a", done.stdout)
+
+    def test_calibrated_history_compares_in_calibration_units(self):
+        # The best point came from a machine twice as fast (calibration
+        # 0.1 s vs 0.2 s): 1.0 s there is 2.0 s here, so 2.2 s passes.
+        self.commit(bench([row("a", 1.0)], calibration=0.1))
+        self.commit(bench([row("a", 3.0)], calibration=0.2))
+        done = self.run_tool(bench([row("a", 2.2)], calibration=0.2))
+        self.assertEqual(done.returncode, 0, done.stdout)
+        # 2.8 s here is 1.4 units of this machine against a best of 1.0.
+        done = self.run_tool(bench([row("a", 2.8)], calibration=0.2))
+        self.assertEqual(done.returncode, 1, done.stdout)
+        self.assertIn("REGRESSION [demo] model=a", done.stdout)
+        self.assertIn(f"best at {self.commits[0][:10]}", done.stdout)
+
+    def test_uncalibrated_history_is_skipped_once_calibrated(self):
+        # A raw point from a faster machine no longer gates a calibrated
+        # result; with no calibrated point at all, raw values still do.
+        self.commit(bench([row("a", 0.5)]))
+        done = self.run_tool(bench([row("a", 1.0)], calibration=0.2))
+        self.assertEqual(done.returncode, 1, done.stdout)
+        self.commit(bench([row("a", 1.0)], calibration=0.2))
+        done = self.run_tool(bench([row("a", 1.1)], calibration=0.2))
+        self.assertEqual(done.returncode, 0, done.stdout)
+
+    def test_calibration_rescales_a_plain_baseline(self):
+        parent = os.path.join(self.tmp.name, "parent")
+        os.makedirs(parent)
+        with open(os.path.join(parent, "BENCH_demo.json"), "w") as f:
+            json.dump(bench([row("a", 1.0)], calibration=0.1), f)
+
+        def diff(doc):
+            with open(os.path.join(self.current, "BENCH_demo.json"), "w") as f:
+                json.dump(doc, f)
+            return subprocess.run(
+                [sys.executable, TOOL, "--baseline-dir", parent,
+                 "--current-dir", self.current, "--benches", "demo",
+                 "--threshold", "1.3"], capture_output=True, text=True)
+
+        # Same speed on a machine half as fast: passes only calibrated.
+        self.assertEqual(diff(bench([row("a", 2.0)], calibration=0.2))
+                         .returncode, 0)
+        self.assertEqual(diff(bench([row("a", 2.0)])).returncode, 1)
+        # A real slowdown on the same machine still fails.
+        done = diff(bench([row("a", 1.5)], calibration=0.1))
+        self.assertEqual(done.returncode, 1, done.stdout)
 
     def test_no_history_fails(self):
         self.commit(bench([row("a", 1.0)]))

@@ -192,8 +192,8 @@ TEST(InferenceTest, MapiInsertedAndRepresentsList) {
 
   // The list class now contains a Mapi node.
   bool HasMapi = false;
-  for (const ENode &N : F.G.eclass(F.ListClass).Nodes)
-    HasMapi |= N.kind() == OpKind::Mapi;
+  for (ENodeId N : F.G.eclass(F.ListClass).Nodes)
+    HasMapi |= F.G.node(N).kind() == OpKind::Mapi;
   EXPECT_TRUE(HasMapi);
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 using namespace shrinkray;
 
 TEST(UnionFindTest, SingletonsAreTheirOwnRoots) {
@@ -226,4 +229,105 @@ TEST(EGraphTest, StressManyMergesStaysConsistent) {
   G.rebuild();
   for (int I = 1; I < 20; ++I)
     EXPECT_EQ(G.find(Towers[0]), G.find(Towers[I]));
+}
+
+//===----------------------------------------------------------------------===//
+// Flat store: inline and spilled children, the node table, deep terms
+//===----------------------------------------------------------------------===//
+
+TEST(ENodeTest, WideNodesSpillAndCopyDeeply) {
+  const std::vector<EClassId> Kids{1, 2, 3, 4, 5, 6, 7};
+  ENode A(Op(OpKind::App), Kids);
+  ASSERT_EQ(A.arity(), 7u);
+  EXPECT_EQ(std::vector<EClassId>(A.children().begin(), A.children().end()),
+            Kids);
+  ENode B = A; // deep copy: B's spilled children are its own
+  B.setChild(6, 9);
+  EXPECT_EQ(A.child(6), 7u);
+  EXPECT_NE(A, B);
+  B.setChild(6, 7);
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(A.hash(), B.hash());
+  ENode C = std::move(B);
+  EXPECT_EQ(C, A);
+  ENode Narrow(Op(OpKind::Union), {4, 5});
+  Narrow = C; // inline <- spilled
+  EXPECT_EQ(Narrow, A);
+  Narrow = ENode(Op(OpKind::Union), {4, 5}); // spilled <- inline
+  EXPECT_EQ(Narrow.arity(), 2u);
+  EXPECT_EQ(Narrow.child(1), 5u);
+  // Arity is part of identity: a prefix of the children is another node.
+  EXPECT_NE(ENode(Op(OpKind::App), Kids.data(), 6), A);
+}
+
+TEST(EGraphStoreTest, WideNodesThroughMergeRebuildAndSnapshot) {
+  EGraph G;
+  std::vector<EClassId> Leaf;
+  for (int I = 0; I < 8; ++I)
+    Leaf.push_back(
+        G.add(ENode(Op::makeVar(Symbol("w" + std::to_string(I))), {})));
+  // Two 7-ary applications that differ only in their last argument, and a
+  // 7-ary function over one of them.
+  std::vector<EClassId> KidsA(Leaf.begin(), Leaf.begin() + 7);
+  std::vector<EClassId> KidsB = KidsA;
+  KidsB.back() = Leaf[7];
+  EClassId WideA = G.add(ENode(Op(OpKind::App), KidsA));
+  EClassId WideB = G.add(ENode(Op(OpKind::App), KidsB));
+  std::vector<EClassId> FunKids(Leaf.begin(), Leaf.begin() + 6);
+  FunKids.push_back(WideA);
+  EClassId Fun = G.add(ENode(Op(OpKind::Fun), FunKids));
+  EXPECT_NE(G.find(WideA), G.find(WideB));
+  EXPECT_EQ(G.lookup(ENode(Op(OpKind::App), KidsB)), G.find(WideB));
+  G.rebuild();
+  ASSERT_EQ(G.checkInvariants(), "");
+
+  // Merging the differing leaves makes the applications congruent.
+  G.merge(Leaf[6], Leaf[7]);
+  G.rebuild();
+  ASSERT_EQ(G.checkInvariants(), "");
+  EXPECT_EQ(G.find(WideA), G.find(WideB));
+  EXPECT_EQ(G.eclass(WideA).Nodes.size(), 1u);
+
+  // Leaf 0 is referenced by the merged application once and by the
+  // function once; the dropped twin no longer shows.
+  std::vector<EClassId> ParentClasses;
+  for (ENodeId P : G.canonicalParents(Leaf[0])) {
+    EXPECT_EQ(G.node(P).arity(), 7u);
+    ParentClasses.push_back(G.nodeClass(P));
+  }
+  std::sort(ParentClasses.begin(), ParentClasses.end());
+  std::vector<EClassId> Want{G.find(WideA), G.find(Fun)};
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(ParentClasses, Want);
+
+  std::ostringstream Os;
+  G.serialize(Os);
+  EGraph R;
+  std::istringstream Is(Os.str());
+  ASSERT_EQ(R.deserialize(Is), "");
+  EXPECT_EQ(R.checkInvariants(), "");
+  EXPECT_EQ(R.dump(), G.dump());
+  EXPECT_EQ(R.lookup(ENode(Op(OpKind::App), KidsA)), R.find(WideB));
+  EXPECT_EQ(R.lookup(ENode(Op(OpKind::Fun), FunKids)), R.find(Fun));
+  for (EClassId Id : G.classIds())
+    for (ENodeId N : G.eclass(Id).Nodes) {
+      EXPECT_EQ(R.node(N), G.node(N));
+      EXPECT_EQ(R.nodeGen(N), G.nodeGen(N));
+      EXPECT_EQ(R.nodeClass(N), G.nodeClass(N));
+    }
+}
+
+TEST(EGraphStoreTest, AddTermOfA300000DeepChainDoesNotRecurse) {
+  // Terms built in code are not depth-bounded by the parsers.
+  constexpr int Depth = 300000;
+  TermPtr T = tUnit();
+  for (int I = 0; I < Depth; ++I)
+    T = tUnion(T, tSphere());
+  EGraph G;
+  EClassId Root = G.addTerm(T);
+  G.rebuild();
+  EXPECT_EQ(G.numClasses(), static_cast<size_t>(Depth) + 2);
+  EXPECT_EQ(G.eclass(Root).Nodes.size(), 1u);
+  EXPECT_EQ(G.node(G.eclass(Root).Nodes[0]).kind(), OpKind::Union);
+  EXPECT_EQ(G.addTerm(T), Root); // hash-consed on the second pass
 }

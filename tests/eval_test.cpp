@@ -173,3 +173,21 @@ TEST(EvalTest, ResultIsAlwaysFlat) {
   EXPECT_TRUE(isFlatCsg(Out));
   EXPECT_EQ(termPrimitives(Out), 6u);
 }
+
+TEST(EvalTest, FlattenedDepthIsBoundedByMaxSourceDepth) {
+  // 40 bytes that flatten into a 300000-deep Union spine: the walkers
+  // downstream recurse per level, so the result is refused, with the
+  // parsers' diagnostic, instead of overflowing their stack.
+  ParseResult Deep = parseSexp("(Fold Union Empty (Repeat Unit 300000))");
+  ASSERT_TRUE(Deep);
+  EvalResult R = evalToFlatCsg(Deep.Value);
+  EXPECT_FALSE(R);
+  EXPECT_EQ(R.Error, "nesting deeper than " + std::to_string(kMaxSourceDepth));
+
+  ParseResult Shallow = parseSexp("(Fold Union Empty (Repeat Unit 500))");
+  ASSERT_TRUE(Shallow);
+  EvalResult Ok = evalToFlatCsg(Shallow.Value);
+  ASSERT_TRUE(Ok) << Ok.Error;
+  EXPECT_LE(Ok.Value->depth(), kMaxSourceDepth);
+  EXPECT_EQ(termPrimitives(Ok.Value), 500u);
+}

@@ -120,12 +120,12 @@ TEST(ParentIndexTest, LeafClassListsItsReferencingNodes) {
   const auto &Parents = G.canonicalParents(Unit);
   // Unit is referenced by the Translate node and by the Union root.
   ASSERT_EQ(Parents.size(), 2u);
-  for (const auto &[Node, Class] : Parents) {
-    bool IsTranslate = Node.kind() == OpKind::Translate;
-    bool IsUnion = Node.kind() == OpKind::Union;
+  for (ENodeId P : Parents) {
+    bool IsTranslate = G.node(P).kind() == OpKind::Translate;
+    bool IsUnion = G.node(P).kind() == OpKind::Union;
     EXPECT_TRUE(IsTranslate || IsUnion);
     if (IsUnion) {
-      EXPECT_EQ(G.find(Class), G.find(Root));
+      EXPECT_EQ(G.nodeClass(P), G.find(Root));
     }
   }
 }
@@ -145,13 +145,13 @@ TEST(ParentIndexTest, MergeUnionsParentSetsAndCompactsDuplicates) {
   const auto &Parents = G.canonicalParents(Unit);
   // After compaction each canonical parent node appears exactly once.
   ASSERT_EQ(Parents.size(), 2u);
-  for (const auto &[Node, Class] : Parents) {
-    ENode Canon = G.canonicalize(Node);
+  for (ENodeId P : Parents) {
+    ENode Canon = G.canonicalize(G.node(P));
     bool Refers = false;
-    for (EClassId Kid : Canon.Children)
+    for (EClassId Kid : Canon.children())
       Refers |= G.find(Kid) == G.find(Unit);
     EXPECT_TRUE(Refers);
-    EXPECT_EQ(G.lookup(Canon), std::optional<EClassId>(G.find(Class)));
+    EXPECT_EQ(G.lookup(Canon), std::optional<EClassId>(G.nodeClass(P)));
   }
 }
 
@@ -164,10 +164,8 @@ TEST(ParentIndexTest, SelfReferentialClassIsItsOwnParent) {
   ASSERT_EQ(G.checkInvariants(), "");
 
   bool SelfLoop = false;
-  for (const auto &[Node, Class] : G.canonicalParents(Root)) {
-    (void)Node;
-    SelfLoop |= G.find(Class) == G.find(Root);
-  }
+  for (ENodeId P : G.canonicalParents(Root))
+    SelfLoop |= G.nodeClass(P) == G.find(Root);
   EXPECT_TRUE(SelfLoop);
 }
 

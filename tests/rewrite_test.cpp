@@ -180,8 +180,8 @@ TEST(RuleSoundness, ReorderTranslateScaleNeedsNonzero) {
   EClassId Root = G.addTerm(T);
   Runner().run(G, reorderRules());
   // Zero scale: the division rule must not fire.
-  for (const ENode &N : G.eclass(Root).Nodes)
-    EXPECT_NE(N.kind(), OpKind::Scale);
+  for (ENodeId N : G.eclass(Root).Nodes)
+    EXPECT_NE(G.node(N).kind(), OpKind::Scale);
 }
 
 TEST(RuleSoundness, ReorderRotateTranslateGeneralAngles) {

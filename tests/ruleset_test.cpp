@@ -261,9 +261,9 @@ void perturb(EGraph &G, int Stage) {
   const std::vector<EClassId> &Unions = G.classesWithOp(Op(OpKind::Union));
   if (!Unions.empty()) {
     EClassId U = Unions[static_cast<size_t>(Stage) % Unions.size()];
-    for (const ENode &N : G.eclass(U).Nodes)
-      if (N.kind() == OpKind::Union) {
-        G.merge(U, N.Children.back());
+    for (ENodeId N : G.eclass(U).Nodes)
+      if (G.node(N).kind() == OpKind::Union) {
+        G.merge(U, G.node(N).children().back());
         break;
       }
   }

@@ -361,6 +361,28 @@ TEST(ServerFrameTest, SubmitWithLongUnrolledLoopFailsTheJobNotTheServer) {
   submitAndWaitFrame(S, Sess, "after-long-loop");
 }
 
+TEST(ServerFrameTest, SubmitWithDeepFlatteningFailsTheJobNotTheServer) {
+  // A 40-byte sexp program whose flattened Union spine is 300000 deep: it
+  // used to overflow the stack in the solver's preprocessing walkers.
+  Request R;
+  R.K = Request::Kind::Submit;
+  R.Name = "deep-fold";
+  R.Source = "(Fold Union Empty (Repeat Unit 300000))";
+  R.TopK = 3;
+  Server S(quickConfig());
+  Server::Session Sess;
+  JsonValue Submitted = parsed(S.handleFrame(Sess, encodeRequest(R)));
+  ASSERT_TRUE(okOf(Submitted));
+  uint64_t Job = static_cast<uint64_t>(Submitted.get("job")->asNumber());
+  JsonValue Done = parsed(S.handleFrame(Sess, waitFrame(Job)));
+  EXPECT_TRUE(okOf(Done));
+  EXPECT_EQ(Done.get("status")->asString(), "failed");
+  EXPECT_NE(Done.get("error")->asString().find("nesting deeper than"),
+            std::string::npos)
+      << writeJson(Done);
+  submitAndWaitFrame(S, Sess, "after-deep-fold");
+}
+
 //===----------------------------------------------------------------------===//
 // handleFrame: admission control
 //===----------------------------------------------------------------------===//

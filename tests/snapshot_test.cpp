@@ -108,11 +108,14 @@ TEST(Snapshot, NodeStampsSurviveRoundTrip) {
   EGraph R;
   ASSERT_EQ(restore(snapshotOf(G), R), "");
   ASSERT_EQ(R.classIds(), G.classIds());
+  ASSERT_EQ(R.numNodeIds(), G.numNodeIds());
   bool Distinct = false;
   for (EClassId Id : G.classIds()) {
-    EXPECT_EQ(R.eclass(Id).NodeGens, G.eclass(Id).NodeGens) << Id;
+    EXPECT_EQ(R.eclass(Id).Nodes, G.eclass(Id).Nodes) << Id;
     EXPECT_EQ(R.eclass(Id).Kinds, G.eclass(Id).Kinds) << Id;
-    Distinct = Distinct || G.eclass(Id).NodeGens[0] != 1;
+    for (ENodeId N : G.eclass(Id).Nodes)
+      EXPECT_EQ(R.nodeGen(N), G.nodeGen(N)) << Id;
+    Distinct = Distinct || G.nodeGen(G.eclass(Id).Nodes[0]) != 1;
   }
   EXPECT_TRUE(Distinct);
 }
@@ -562,75 +565,111 @@ TEST(SnapshotEntryFuzz, CorruptDiskEntriesDegradeToMisses) {
   EXPECT_EQ(C.stats().SnapshotHits, 0u);
 }
 
-// Node stamps are checked field by field, like the pool back-references
-// above (a bit flip under a recomputed checksum would only sample them).
-// This forger walks a real graph blob to every class's stamp count and
-// every stamp, re-seals the blob with a count off by one and with a stamp
-// past the generation counter, and requires the matching diagnostic —
-// which the service turns into a snapshot miss.
+// Node stamps and parent ids are checked field by field, like the pool
+// back-references above (a bit flip under a recomputed checksum would only
+// sample them). This forger walks a real graph blob to every node's
+// delta/varint stamp and every class's parent node ids, splices in a
+// forgery, re-seals the blob (length and checksum), and requires the
+// matching diagnostic — which the service turns into a snapshot miss.
 TEST(SnapshotEntryFuzz, ForgedNodeStampsRejected) {
   service::SnapshotEntry Plain;
   realEntryBlob(&Plain);
   const std::string &Graph = Plain.Graph;
   constexpr size_t Header = 24; // magic + version, u64 length, u64 hash
+  const std::string Payload = Graph.substr(Header);
 
-  snapcodec::Reader R{Graph.substr(Header)};
+  snapcodec::Reader R{Payload};
   const uint32_t NumIds = R.u32();
   for (uint32_t I = 0; I < NumIds; ++I)
     R.u32();
   const uint64_t Gen = R.u64();
   R.u64(); // dirty floor
-  const uint32_t NumLive = R.u32();
-  std::vector<size_t> CountOffsets, StampOffsets;
+  const uint32_t NumNodes = R.u32();
+  struct Field {
+    size_t Begin, End; // payload byte range
+    uint64_t Before;   // stamp of the previous node (varint fields)
+  };
+  std::vector<Field> Stamps, ParentIds;
+  std::vector<uint32_t> Leaves; // nodes without children
   std::string Err;
+  uint64_t Stamp = 0;
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    std::optional<ENode> Node = R.node(NumIds, Err);
+    ASSERT_TRUE(Node.has_value()) << Err;
+    if (Node->arity() == 0)
+      Leaves.push_back(N);
+    R.u32(); // home class
+    const size_t Begin = R.pos();
+    const uint64_t Delta = R.varint();
+    Stamps.push_back({Begin, R.pos(), Stamp});
+    Stamp += Delta;
+    ASSERT_LE(Stamp, Gen);
+  }
+  const uint32_t NumLive = R.u32();
   for (uint32_t C = 0; C < NumLive; ++C) {
     R.u32();
     R.u8();
     R.f64();
     R.u8();
-    const uint32_t NumNodes = R.u32();
-    for (uint32_t N = 0; N < NumNodes; ++N)
-      ASSERT_TRUE(R.node(NumIds, Err).has_value()) << Err;
-    CountOffsets.push_back(Header + R.pos());
-    ASSERT_EQ(R.u32(), NumNodes);
-    for (uint32_t N = 0; N < NumNodes; ++N) {
-      StampOffsets.push_back(Header + R.pos());
-      ASSERT_LE(R.u64(), Gen);
-    }
+    const uint32_t NumMembers = R.u32();
+    for (uint32_t M = 0; M < NumMembers; ++M)
+      ASSERT_LT(R.u32(), NumNodes);
     const uint32_t NumParents = R.u32();
     for (uint32_t P = 0; P < NumParents; ++P) {
-      ASSERT_TRUE(R.node(NumIds, Err).has_value()) << Err;
-      R.u32();
+      ParentIds.push_back({R.pos(), R.pos() + 4, 0});
+      ASSERT_LT(R.u32(), NumNodes);
     }
     ASSERT_TRUE(R.ok());
   }
-  ASSERT_FALSE(StampOffsets.empty());
+  ASSERT_FALSE(Stamps.empty());
+  ASSERT_FALSE(ParentIds.empty());
+  ASSERT_FALSE(Leaves.empty());
 
-  auto forged = [&](size_t Offset, const void *V, size_t Size) {
-    std::string Bad = Graph;
-    std::memcpy(&Bad[Offset], V, Size);
-    const uint64_t H =
-        snapcodec::fnv1a(std::string_view(Bad).substr(Header));
-    std::memcpy(&Bad[16], &H, sizeof H);
+  // Replaces payload bytes [F.Begin, F.End) with \p Bytes and decodes.
+  auto forged = [&](const Field &F, const std::string &Bytes) {
+    std::string Body = Payload.substr(0, F.Begin) + Bytes +
+                       Payload.substr(F.End);
+    std::string Bad = Graph.substr(0, 8);
+    const uint64_t Size = Body.size();
+    const uint64_t H = snapcodec::fnv1a(Body);
+    Bad.append(reinterpret_cast<const char *>(&Size), sizeof Size);
+    Bad.append(reinterpret_cast<const char *>(&H), sizeof H);
+    Bad += Body;
     EGraph Out;
     std::istringstream Is(Bad);
     std::string Diag = Out.deserialize(Is);
     EXPECT_EQ(Out.numClasses(), 0u);
     return Diag;
   };
-  for (size_t Offset : CountOffsets) {
-    uint32_t Count;
-    std::memcpy(&Count, &Graph[Offset], sizeof Count);
-    for (const uint32_t Forged : {Count + 1, Count - 1})
-      EXPECT_EQ(forged(Offset, &Forged, sizeof Forged),
-                "node stamp count differs from node count")
-          << "count at byte " << Offset;
-  }
-  for (size_t Offset : StampOffsets)
-    for (const uint64_t Forged : {Gen + 1, ~uint64_t(0)})
-      EXPECT_EQ(forged(Offset, &Forged, sizeof Forged),
+  auto varint = [](uint64_t V) {
+    snapcodec::Writer W;
+    W.varint(V);
+    return W.take();
+  };
+  auto u32 = [](uint32_t V) {
+    return std::string(reinterpret_cast<const char *>(&V), sizeof V);
+  };
+
+  for (const Field &F : Stamps) {
+    // One past the generation counter, and the widest delta there is.
+    for (const uint64_t Delta : {Gen - F.Before + 1, ~uint64_t(0)})
+      EXPECT_EQ(forged(F, varint(Delta)),
                 "node stamp beyond generation counter")
-          << "stamp at byte " << Offset;
+          << "stamp at payload byte " << F.Begin;
+    // Eleven continuation bytes: longer than any 64-bit varint.
+    EXPECT_EQ(forged(F, std::string(11, '\xff')),
+              "truncated or malformed node stamp")
+        << "stamp at payload byte " << F.Begin;
+  }
+  for (const Field &F : ParentIds) {
+    EXPECT_EQ(forged(F, u32(NumNodes)), "parent node id out of range")
+        << "parent at payload byte " << F.Begin;
+    // A leaf references no class, so it is nobody's parent.
+    EXPECT_EQ(forged(F, u32(Leaves[F.Begin % Leaves.size()])).rfind(
+                  "inconsistent snapshot graph: ", 0),
+              0u)
+        << "parent at payload byte " << F.Begin;
+  }
 }
 
 // Format-version bumps are refused up front with the "unsupported"
@@ -645,13 +684,13 @@ TEST(SnapshotEntryFuzz, FormatVersionBumpsAreUnsupportedNotCorrupt) {
   EXPECT_EQ(service::decodeSnapshotEntry(Blob, Out),
             "unsupported snapshot entry format version");
 
-  // The graph blob's version byte ("SRAYEGR3" -> "SRAYEGR2", the format
-  // before node stamps): an entry that re-seals over a downgraded graph
+  // The graph blob's version byte ("SRAYEGR4" -> "SRAYEGR3", the format
+  // before the node table): an entry that re-seals over a downgraded graph
   // decodes, but the graph decoder refuses it before reading any further.
   service::SnapshotEntry Plain;
   realEntryBlob(&Plain);
-  ASSERT_EQ(Plain.Graph.substr(0, 8), "SRAYEGR3");
-  Plain.Graph[7] = '2';
+  ASSERT_EQ(Plain.Graph.substr(0, 8), "SRAYEGR4");
+  Plain.Graph[7] = '3';
   const std::string Resealed = service::encodeSnapshotEntry(Plain);
   ASSERT_EQ(service::decodeSnapshotEntry(Resealed, Out), "");
   EGraph R;

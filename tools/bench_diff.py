@@ -41,6 +41,16 @@ newest committed version's:
 The committed points may come from other machines, so CI runs this mode
 as a report, not a gate; the ``bench_gate`` CMake target runs it locally.
 
+Calibration: every BENCH file written by bench/BenchUtil.h carries a
+top-level ``calibration_sec``, the time of a fixed integer kernel on the
+machine that wrote it. When both sides of a comparison carry it, baseline
+values are rescaled to the current machine (multiplied by current /
+baseline calibration) before the threshold and floor apply, so a slower
+or faster machine does not read as a regression or a win. Under
+``--against-best`` each committed version is first expressed in units of
+its own calibration; if the current file carries a calibration, only
+versions that carry one take part (raw history is used when none does).
+
 ``--markdown-out`` appends a GitHub-flavored markdown summary (one table
 per bench: baseline vs current time per row, ratio, verdict) to the given
 file — CI points it at the job summary page. See docs/BENCHMARKS.md for
@@ -109,28 +119,51 @@ def committed_history(fname):
     return versions
 
 
-def best_baseline(versions):
+def positive(v):
+    return isinstance(v, (int, float)) and v > 0
+
+
+def calibration(doc):
+    """The file's calibration_sec, or None when it carries none."""
+    cal = doc.get("calibration_sec")
+    return cal if positive(cal) else None
+
+
+def best_baseline(versions, units=False):
     """A baseline built from committed history: the newest version's rows,
     each gated field (and the total time_sec) replaced by its minimum over
     all versions that have the row. Each row's "best_at" maps a field to
-    the short hash of the commit that holds its minimum."""
+    the short hash of the commit that holds its minimum. With ``units``,
+    only calibrated versions take part, each field is divided by its
+    version's calibration_sec, and the result carries calibration_sec 1
+    (falls back to raw values when no version is calibrated)."""
 
-    def positive(v):
-        return isinstance(v, (int, float)) and v > 0
+    if units:
+        calibrated = [(sha, d) for sha, d in versions if calibration(d)]
+        if calibrated:
+            versions = calibrated
+        else:
+            units = False
+
+    def scale(doc):
+        return 1.0 / calibration(doc) if units else 1.0
 
     seen = {}
     for sha, doc in versions:
         for row in doc.get("rows", []):
-            seen.setdefault(row_key(row), []).append((sha, row))
-    totals = [d["time_sec"] for _, d in versions if positive(d.get("time_sec"))]
+            seen.setdefault(row_key(row), []).append((sha, row, scale(doc)))
+    totals = [d["time_sec"] * scale(d) for _, d in versions
+              if positive(d.get("time_sec"))]
     best = {"rows": []}
+    if units:
+        best["calibration_sec"] = 1.0
     if totals:
         best["time_sec"] = min(totals)
     for row in versions[0][1].get("rows", []):
         history = seen[row_key(row)]
         row = dict(row, best_at={})
         for field in GATED_FIELDS:
-            points = [(r[field], sha) for sha, r in history
+            points = [(r[field] * k, sha) for sha, r, k in history
                       if positive(r.get(field))]
             if points:
                 value, sha = min(points)
@@ -140,19 +173,29 @@ def best_baseline(versions):
     return best
 
 
-def load_baseline(args, fname):
+def load_baseline(args, fname, current):
     """(where the baseline comes from, the baseline or None if absent)."""
     if args.against_best:
         versions = committed_history(fname)
         where = f"git history of {fname}"
-        return where, best_baseline(versions) if versions else None
+        units = current is not None and calibration(current) is not None
+        return where, best_baseline(versions, units) if versions else None
     path = os.path.join(args.baseline_dir, fname)
     return path, load(path) if os.path.exists(path) else None
 
 
 def compare_bench(name, baseline, current, threshold, min_time, report, md):
     ok = True
+    # Baseline seconds rescaled to the current machine when both sides are
+    # calibrated; 1 otherwise.
+    rescale = 1.0
+    if calibration(baseline) and calibration(current):
+        rescale = calibration(current) / calibration(baseline)
+        report.append(f"  {name}: baseline rescaled by calibration "
+                      f"{rescale:.3f}x to this machine")
     base_time = baseline.get("time_sec")
+    if base_time:
+        base_time *= rescale
     cur_time = current.get("time_sec")
     if base_time and cur_time:
         ratio = cur_time / base_time if base_time > 0 else float("inf")
@@ -186,6 +229,7 @@ def compare_bench(name, baseline, current, threshold, min_time, report, md):
             bt, ct = base_row.get(field), cur_row.get(field)
             if bt is None or ct is None or bt <= 0:
                 continue
+            bt *= rescale
             label = ident if field == "time_sec" else f"{ident} [{field}]"
             if bt < min_time and ct < min_time:
                 # Sub-floor rows are pure timer noise; growth ratios on
@@ -281,8 +325,8 @@ def main():
         fname = f"BENCH_{name}.json"
         cur_path = os.path.join(args.current_dir, fname)
         try:
-            base_path, baseline = load_baseline(args, fname)
             current = load(cur_path) if os.path.exists(cur_path) else None
+            base_path, baseline = load_baseline(args, fname, current)
         except (json.JSONDecodeError, OSError, subprocess.CalledProcessError) as e:
             report.append(f"  UNREADABLE {name}: {e}")
             md.append(f"- :x: unreadable `{name}`: {e}")
