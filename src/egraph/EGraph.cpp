@@ -212,12 +212,8 @@ void EGraph::repair(EClassId Id) {
   // rewritten in place, so it leaves the memo first (the memo is keyed by
   // stored forms) and re-enters under its canonical form unless a
   // congruent node already holds that form.
-  std::vector<ENodeId> &OldParents = RepairParents;
-  {
-    EClass &C = Classes[UF.find(Id)];
-    OldParents.assign(C.Parents.begin(), C.Parents.end());
-    C.Parents.clear();
-  }
+  std::vector<ENodeId> OldParents;
+  OldParents.swap(Classes[UF.find(Id)].Parents);
   for (ENodeId P : OldParents) {
     memoErase(Nodes[P]);
     canonicalizeChildren(Nodes[P]);
@@ -231,27 +227,27 @@ void EGraph::repair(EClassId Id) {
 
   // Dedupe parents by canonical form, in first-occurrence order; a
   // duplicate that became congruent is merged into its group's class.
-  // Group G's form is GroupForms[G]; its first entry and class are
-  // RepairFirst[G] and RepairClass[G].
-  beginGroups(OldParents.size());
-  RepairFirst.clear();
-  RepairClass.clear();
+  // Group G's first entry and class are First[G] and GroupClass[G].
+  Groups.reset(OldParents.size());
+  std::vector<ENodeId> First;
+  std::vector<EClassId> GroupClass;
   for (ENodeId P : OldParents) {
     EClassId PCanon = nodeClass(P);
-    auto [G, New] = formGroup(canonicalForm(P));
+    auto [G, New] = Groups.insert(canonicalForm(P));
     if (New) {
-      RepairFirst.push_back(P);
-      RepairClass.push_back(PCanon);
+      First.push_back(P);
+      GroupClass.push_back(PCanon);
     } else {
-      merge(RepairClass[G], PCanon);
-      RepairClass[G] = UF.find(RepairClass[G]);
+      merge(GroupClass[G], PCanon);
+      GroupClass[G] = UF.find(GroupClass[G]);
     }
   }
 
   // Push analysis data upward: a parent may now fold to a constant.
-  for (size_t G = 0; G < GroupForms.size(); ++G) {
-    EClassId PCanon = UF.find(RepairClass[G]);
-    AnalysisData New = makeData(GroupForms[G]);
+  // makeData() reads children through find(), so the stored form serves.
+  for (size_t G = 0; G < First.size(); ++G) {
+    EClassId PCanon = UF.find(GroupClass[G]);
+    AnalysisData New = makeData(Nodes[First[G]]);
     if (joinData(Classes[PCanon].Data, New)) {
       // Data changes can flip rule guards (isConst etc.), so they must
       // make the class visible to incremental searches.
@@ -266,7 +262,7 @@ void EGraph::repair(EClassId Id) {
   // parent entries that must be kept. Those appended entries are deduped
   // by a later repair (the merge queued one).
   EClass &C2 = Classes[UF.find(Id)];
-  C2.Parents.insert(C2.Parents.end(), RepairFirst.begin(), RepairFirst.end());
+  C2.Parents.insert(C2.Parents.end(), First.begin(), First.end());
 
   // Dedupe this class's own nodes by canonical form. A surviving node keeps
   // its own stamp, the first occurrence's: two nodes only collapse after a
@@ -279,34 +275,33 @@ void EGraph::repair(EClassId Id) {
   LiveNodes -= Before - C2.Nodes.size();
 }
 
-void EGraph::beginGroups(size_t Count) const {
-  GroupForms.clear();
-  GroupsScan = Count <= 8;
-  if (!GroupsScan)
-    GroupIndex.clear(); // O(buckets): only when the index is used
+void EGraph::FormGroups::reset(size_t MaxForms) {
+  Forms.clear();
+  size_t Size = 4; // a power of two, at most half full
+  while (Size < 2 * MaxForms)
+    Size *= 2;
+  Slots.assign(Size, 0);
 }
 
-std::pair<size_t, bool> EGraph::formGroup(ENode Form) const {
-  // Short lists (most classes hold a node or two) compare forms pairwise;
-  // longer ones go through a hash index.
-  if (GroupsScan) {
-    auto It = std::find(GroupForms.begin(), GroupForms.end(), Form);
-    if (It != GroupForms.end())
-      return {static_cast<size_t>(It - GroupForms.begin()), false};
-  } else {
-    auto [It, Inserted] = GroupIndex.emplace(Form, GroupForms.size());
-    if (!Inserted)
-      return {It->second, false};
+std::pair<size_t, bool> EGraph::FormGroups::insert(ENode Form) {
+  assert(2 * Forms.size() < Slots.size() && "FormGroups over capacity");
+  const size_t Mask = Slots.size() - 1;
+  for (size_t I = mix64(Form.hash()) & Mask;; I = (I + 1) & Mask) {
+    if (!Slots[I]) {
+      Forms.push_back(std::move(Form));
+      Slots[I] = static_cast<uint32_t>(Forms.size());
+      return {Forms.size() - 1, true};
+    }
+    if (Forms[Slots[I] - 1] == Form)
+      return {Slots[I] - 1, false};
   }
-  GroupForms.push_back(std::move(Form));
-  return {GroupForms.size() - 1, true};
 }
 
 void EGraph::dedupeByForm(std::vector<ENodeId> &Ids) const {
-  beginGroups(Ids.size());
+  Groups.reset(Ids.size());
   size_t Keep = 0;
   for (ENodeId N : Ids)
-    if (formGroup(canonicalForm(N)).second)
+    if (Groups.insert(canonicalForm(N)).second)
       Ids[Keep++] = N;
   Ids.resize(Keep);
 }
@@ -682,6 +677,37 @@ std::string EGraph::checkInvariants() const {
         return Os.str();
       }
       FormOf[N] = *Form;
+    }
+  }
+
+  // 1b. Nodes no class lists (repair's dedupe dropped them; parent entries
+  //     may still name them) stand for a live twin: each one's canonical
+  //     form maps to its own class. And every memo entry keyed by a
+  //     canonical form is the form of a live node, so a node table entry
+  //     that no class backs cannot hash-cons a form into a class without
+  //     such a node (rebuildMemo() indexes the whole table).
+  std::vector<uint8_t> Backed(Nodes.size(), 0);
+  for (ENodeId N = 0; N < Nodes.size(); ++N)
+    if (FormOf[N] != NoForm)
+      Backed[FormOf[N]] = 1;
+  for (ENodeId N = 0; N < Nodes.size(); ++N) {
+    if (FormOf[N] != NoForm)
+      continue;
+    std::optional<ENodeId> Form = formId(canonicalForm(N));
+    if (!Form || nodeClass(*Form) != nodeClass(N)) {
+      Os << "unlisted node " << Nodes[N].Operator.str()
+         << " is not hash-consed to its class " << nodeClass(N);
+      return Os.str();
+    }
+  }
+  for (const MemoSlot &Sl : Memo) {
+    if (!Sl.NodePlus1 || Backed[Sl.NodePlus1 - 1])
+      continue;
+    const ENode &Stored = Nodes[Sl.NodePlus1 - 1];
+    if (canonicalize(Stored) == Stored) {
+      Os << "memo holds " << Stored.Operator.str() << " for class "
+         << nodeClass(Sl.NodePlus1 - 1) << ", where no node has that form";
+      return Os.str();
     }
   }
 

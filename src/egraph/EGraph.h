@@ -295,7 +295,9 @@ public:
 
   /// Validates the e-graph's internal invariants (canonical hash-consing,
   /// memo entries keyed by their nodes' stored forms, class membership
-  /// agreeing with each node's home class, congruence closure,
+  /// agreeing with each node's home class, nodes no class lists
+  /// hash-consed to their own class, every canonical memo form held by a
+  /// live node, congruence closure,
   /// parent-pointer consistency, no node stamp past generation(), exact
   /// head-kind masks, operator-index agreement with a full rescan, and
   /// counter accuracy).
@@ -335,16 +337,21 @@ private:
 
   std::vector<EClassId> Worklist;
 
-  /// repair() scratch, kept across calls: its parent list, and per form
-  /// group the first parent entry and that entry's class.
-  std::vector<ENodeId> RepairParents;
-  std::vector<ENodeId> RepairFirst;
-  std::vector<EClassId> RepairClass;
-  /// Form groups of beginGroups()/formGroup(), in first-occurrence order.
-  /// mutable: canonicalParents() compacts with them too.
-  mutable std::vector<ENode> GroupForms;
-  mutable std::unordered_map<ENode, size_t, ENodeHash> GroupIndex;
-  mutable bool GroupsScan = true;
+  /// Groups e-node forms by equality, in first-occurrence order: an
+  /// open-addressed table of group indexes over the group forms, sized per
+  /// use and kept across calls, so grouping allocates nothing once warm.
+  /// repair() groups its parents with it; canonicalParents() and the
+  /// class-node dedupe drop repeated forms with it.
+  struct FormGroups {
+    std::vector<ENode> Forms;
+    std::vector<uint32_t> Slots; ///< group index + 1; 0 = empty
+    /// Empties the groups, with room for \p MaxForms forms.
+    void reset(size_t MaxForms);
+    /// Group of \p Form, and whether \p Form opened it.
+    std::pair<size_t, bool> insert(ENode Form);
+  };
+  /// mutable: the const canonicalParents() compacts with it too.
+  mutable FormGroups Groups;
 
   /// Operator-head index: Op -> class ids owning an e-node with that head.
   /// Entries are appended on insertion and never eagerly removed; a merge
@@ -391,12 +398,6 @@ private:
 
   /// Copy of \p N with canonical children.
   ENode canonicalForm(ENodeId N) const { return canonicalize(Nodes[N]); }
-
-  /// Starts grouping up to \p Count canonical forms.
-  void beginGroups(size_t Count) const;
-  /// Index of \p Form's group, and whether the group is new (appended to
-  /// GroupForms).
-  std::pair<size_t, bool> formGroup(ENode Form) const;
 
   /// Drops each id of \p Ids whose canonical form equals an earlier one's,
   /// keeping first-occurrence order. Stored forms are left alone.

@@ -143,7 +143,9 @@ class AgainstBestTest(unittest.TestCase):
         done = self.run_tool(bench([row("a", 1.1)], calibration=0.2))
         self.assertEqual(done.returncode, 0, done.stdout)
 
-    def test_calibration_rescales_a_plain_baseline(self):
+    def test_plain_baseline_ignores_calibration(self):
+        # A --baseline-dir diff compares two runs on one runner, so the
+        # calibration rows never rescale it.
         parent = os.path.join(self.tmp.name, "parent")
         os.makedirs(parent)
         with open(os.path.join(parent, "BENCH_demo.json"), "w") as f:
@@ -157,13 +159,15 @@ class AgainstBestTest(unittest.TestCase):
                  "--current-dir", self.current, "--benches", "demo",
                  "--threshold", "1.3"], capture_output=True, text=True)
 
-        # Same speed on a machine half as fast: passes only calibrated.
-        self.assertEqual(diff(bench([row("a", 2.0)], calibration=0.2))
-                         .returncode, 0)
-        self.assertEqual(diff(bench([row("a", 2.0)])).returncode, 1)
-        # A real slowdown on the same machine still fails.
-        done = diff(bench([row("a", 1.5)], calibration=0.1))
+        # A 2x slowdown fails whatever the calibration rows say.
+        done = diff(bench([row("a", 2.0)], calibration=0.2))
         self.assertEqual(done.returncode, 1, done.stdout)
+        self.assertNotIn("rescaled", done.stdout)
+        # An unchanged time passes even when the kernel timings differ.
+        done = diff(bench([row("a", 1.0)], calibration=0.05))
+        self.assertEqual(done.returncode, 0, done.stdout)
+        done = diff(bench([row("a", 1.2)], calibration=0.1))
+        self.assertEqual(done.returncode, 0, done.stdout)
 
     def test_no_history_fails(self):
         self.commit(bench([row("a", 1.0)]))

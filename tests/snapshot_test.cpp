@@ -372,6 +372,30 @@ std::string realEntryBlob(service::SnapshotEntry *Plain = nullptr) {
   return service::encodeSnapshotEntry(E);
 }
 
+/// Seals graph payload \p Body behind \p Graph's magic with a fresh length
+/// and checksum, decodes it, and returns the diagnostic. A failed decode
+/// must leave the graph empty.
+std::string decodeResealedGraph(const std::string &Graph,
+                                const std::string &Body) {
+  std::string Bad = Graph.substr(0, 8);
+  const uint64_t Size = Body.size();
+  const uint64_t H = snapcodec::fnv1a(Body);
+  Bad.append(reinterpret_cast<const char *>(&Size), sizeof Size);
+  Bad.append(reinterpret_cast<const char *>(&H), sizeof H);
+  Bad += Body;
+  EGraph Out;
+  std::istringstream Is(Bad);
+  std::string Diag = Out.deserialize(Is);
+  if (!Diag.empty()) {
+    EXPECT_EQ(Out.numClasses(), 0u);
+  }
+  return Diag;
+}
+
+std::string u32Bytes(uint32_t V) {
+  return std::string(reinterpret_cast<const char *>(&V), sizeof V);
+}
+
 /// Deterministic 64-bit LCG (Knuth MMIX constants): the sweep must be
 /// reproducible run to run, so no std::random_device / seeds from time.
 struct Lcg {
@@ -627,28 +651,15 @@ TEST(SnapshotEntryFuzz, ForgedNodeStampsRejected) {
 
   // Replaces payload bytes [F.Begin, F.End) with \p Bytes and decodes.
   auto forged = [&](const Field &F, const std::string &Bytes) {
-    std::string Body = Payload.substr(0, F.Begin) + Bytes +
-                       Payload.substr(F.End);
-    std::string Bad = Graph.substr(0, 8);
-    const uint64_t Size = Body.size();
-    const uint64_t H = snapcodec::fnv1a(Body);
-    Bad.append(reinterpret_cast<const char *>(&Size), sizeof Size);
-    Bad.append(reinterpret_cast<const char *>(&H), sizeof H);
-    Bad += Body;
-    EGraph Out;
-    std::istringstream Is(Bad);
-    std::string Diag = Out.deserialize(Is);
-    EXPECT_EQ(Out.numClasses(), 0u);
-    return Diag;
+    return decodeResealedGraph(Graph, Payload.substr(0, F.Begin) + Bytes +
+                                          Payload.substr(F.End));
   };
   auto varint = [](uint64_t V) {
     snapcodec::Writer W;
     W.varint(V);
     return W.take();
   };
-  auto u32 = [](uint32_t V) {
-    return std::string(reinterpret_cast<const char *>(&V), sizeof V);
-  };
+  auto u32 = u32Bytes;
 
   for (const Field &F : Stamps) {
     // One past the generation counter, and the widest delta there is.
@@ -669,6 +680,82 @@ TEST(SnapshotEntryFuzz, ForgedNodeStampsRejected) {
                   "inconsistent snapshot graph: ", 0),
               0u)
         << "parent at payload byte " << F.Begin;
+  }
+}
+
+// The node table may hold nodes no class lists (repair's dedupe drops
+// them while parent entries still name them), and the restored memo
+// indexes the whole table. A forged unlisted node must not hash-cons a
+// form into a class that holds no such node: appending one with a fresh
+// form, or with a live node's form under another home class, is an
+// inconsistent graph. A dead twin under its own class is legitimate.
+TEST(SnapshotEntryFuzz, ForgedUnlistedNodesRejected) {
+  service::SnapshotEntry Plain;
+  realEntryBlob(&Plain);
+  const std::string &Graph = Plain.Graph;
+  constexpr size_t Header = 24; // magic + version, u64 length, u64 hash
+  const std::string Payload = Graph.substr(Header);
+  EGraph Real;
+  {
+    std::istringstream Is(Graph);
+    ASSERT_EQ(Real.deserialize(Is), "");
+  }
+
+  snapcodec::Reader R{Payload};
+  const uint32_t NumIds = R.u32();
+  for (uint32_t I = 0; I < NumIds; ++I)
+    R.u32();
+  R.u64(); // generation
+  R.u64(); // dirty floor
+  const size_t CountAt = R.pos();
+  const uint32_t NumNodes = R.u32();
+  std::string Err;
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    ASSERT_TRUE(R.node(NumIds, Err).has_value()) << Err;
+    R.u32(); // home class
+    R.varint();
+  }
+  ASSERT_TRUE(R.ok());
+  const size_t NodesEnd = R.pos();
+
+  // Appends \p Node homed in \p Home (stamp delta 0) and decodes.
+  auto withNode = [&](const ENode &Node, EClassId Home) {
+    snapcodec::Writer W;
+    W.node(Node);
+    W.u32(Home);
+    W.varint(0);
+    return decodeResealedGraph(
+        Graph, Payload.substr(0, CountAt) + u32Bytes(NumNodes + 1) +
+                   Payload.substr(CountAt + 4, NodesEnd - CountAt - 4) +
+                   W.take() + Payload.substr(NodesEnd));
+  };
+  auto rejected = [](const std::string &Diag) {
+    return Diag.rfind("inconsistent snapshot graph: ", 0) == 0;
+  };
+
+  const std::vector<EClassId> Ids = Real.classIds();
+  ASSERT_GE(Ids.size(), 2u);
+  const EClassId A = Ids[0], B = Ids[1];
+  // A fresh leaf and a fresh g(A).
+  const ENode FreshLeaf(Op::makeInt(987654321), {});
+  const ENode FreshApp(Op(OpKind::Union), {A, B});
+  ASSERT_FALSE(Real.lookup(FreshLeaf).has_value());
+  ASSERT_FALSE(Real.lookup(FreshApp).has_value());
+  for (EClassId Home : {A, B}) {
+    EXPECT_TRUE(rejected(withNode(FreshLeaf, Home))) << "home " << Home;
+    EXPECT_TRUE(rejected(withNode(FreshApp, Home))) << "home " << Home;
+  }
+
+  // A live node's form: a twin in its own class decodes, one homed in
+  // another class does not.
+  size_t Twins = 0;
+  for (EClassId Id : Ids) {
+    const ENode Form = Real.canonicalize(Real.node(Real.eclass(Id).Nodes[0]));
+    const EClassId Other = Id == A ? B : A;
+    EXPECT_EQ(withNode(Form, Id), "") << "class " << Id;
+    EXPECT_TRUE(rejected(withNode(Form, Other))) << "class " << Id;
+    if (++Twins == 8)
+      break;
   }
 }
 

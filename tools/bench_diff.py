@@ -43,13 +43,16 @@ as a report, not a gate; the ``bench_gate`` CMake target runs it locally.
 
 Calibration: every BENCH file written by bench/BenchUtil.h carries a
 top-level ``calibration_sec``, the time of a fixed integer kernel on the
-machine that wrote it. When both sides of a comparison carry it, baseline
-values are rescaled to the current machine (multiplied by current /
-baseline calibration) before the threshold and floor apply, so a slower
-or faster machine does not read as a regression or a win. Under
-``--against-best`` each committed version is first expressed in units of
-its own calibration; if the current file carries a calibration, only
-versions that carry one take part (raw history is used when none does).
+machine that wrote it. Only ``--against-best`` uses it: each committed
+version is expressed in units of its own calibration and the best point
+is rescaled to the current machine (multiplied by the current file's
+calibration) before the threshold and floor apply, so history from a
+slower or faster machine does not read as a regression or a win. If the
+current file carries a calibration, only versions that carry one take
+part (raw history is used when none does). A ``--baseline-dir``
+comparison ignores calibration: both sides come from the same runner,
+and the ratio of two short kernel timings would only add its own noise
+to the gate.
 
 ``--markdown-out`` appends a GitHub-flavored markdown summary (one table
 per bench: baseline vs current time per row, ratio, verdict) to the given
@@ -184,12 +187,14 @@ def load_baseline(args, fname, current):
     return path, load(path) if os.path.exists(path) else None
 
 
-def compare_bench(name, baseline, current, threshold, min_time, report, md):
+def compare_bench(name, baseline, current, threshold, min_time, report, md,
+                  calibrated=False):
     ok = True
-    # Baseline seconds rescaled to the current machine when both sides are
-    # calibrated; 1 otherwise.
+    # With ``calibrated`` (--against-best), baseline seconds are rescaled
+    # to the current machine when both sides carry a calibration; 1
+    # otherwise.
     rescale = 1.0
-    if calibration(baseline) and calibration(current):
+    if calibrated and calibration(baseline) and calibration(current):
         rescale = calibration(current) / calibration(baseline)
         report.append(f"  {name}: baseline rescaled by calibration "
                       f"{rescale:.3f}x to this machine")
@@ -350,6 +355,7 @@ def main():
             args.min_time,
             report,
             md,
+            calibrated=args.against_best,
         )
 
     print("bench_diff report (threshold {:.2f}x):".format(args.threshold))
