@@ -1,13 +1,16 @@
 //===-- bench/bench_warmstart.cpp - Snapshot-backed warm starts -----------===//
 //
-// Cold-vs-warm wall clock for the snapshot tier, on the two models that
-// bound the design space:
+// Cold-vs-warm wall clock for the snapshot tier, on the two Table 1
+// models with the largest saturated graphs:
 //
-//   gear          — rewrite-dominated and saturating (526 iterations):
-//                   a warm start skips saturation outright;
-//   nintendo-slot — never saturates (explosive frontier, rules banned
-//                   into a frozen steady state): warm resumes from the
-//                   stored cursors and must close on a quiescent tail.
+//   gear          — saturates in 61 iterations (9100 e-nodes);
+//   nintendo-slot — saturates in 14 iterations (1522 e-nodes).
+//
+// Both captures are Saturated snapshots, so a same-input warm start skips
+// saturation outright and an edit resumes from the stored cursors only
+// until the graph closes over the changed leaf. The snapshot is taken
+// before solve, and solve is now the largest part of both cold runs
+// (gear: about 0.09 of 0.14 s), so the warm saving is small.
 //
 // Per model, three timed scenarios against the cold runs at the same
 // budgets: warm-deeper-fuel (same input, larger IterLimit) and warm-edit
@@ -159,11 +162,9 @@ int main() {
   printHeader();
 
   // (model, capture fuel, request fuel for the deeper/edit scenarios).
-  // gear saturates at 526, so 600 captures a Saturated snapshot and the
-  // edit resume gets re-saturation headroom at 1200. nintendo-slot never
-  // saturates: 8000 captures an IterLimit snapshot deep enough that the
-  // 8200-iteration cold references are rewrite-heavy, and both warm
-  // scenarios resume the 200-iteration remainder on the frozen frontier.
+  // Both models saturate far inside every budget (gear at 61, nintendo-slot
+  // at 14), so each capture is a Saturated snapshot and the larger request
+  // fuel leaves the edit resumes re-saturation headroom.
   struct Config {
     const char *Model;
     size_t CaptureIters, DeeperIters, EditIters;

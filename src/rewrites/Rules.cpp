@@ -21,6 +21,22 @@ static EClassId addVecConst(EGraph &G, Vec3 V) {
   return G.add(ENode(Op(OpKind::Vec3Ctor), {X, Y, Z}));
 }
 
+/// Rounds each component of \p V onto a 1e-9 grid (-0 becomes 0). The
+/// rotate/translate reorders compute R*t and then R^T*(R*t), which misses t
+/// by an ulp, so off the grid every pass minted fresh Float classes. On the
+/// grid a round trip lands on t, or rarely one grid step from it (a literal
+/// 2 can come back as 1.999999999), and the next trip hits the hashcons, so
+/// the reorder cycle closes. 1e-9 sits far inside the solvers' literal
+/// epsilon band (1e-3).
+static Vec3 onGrid(Vec3 V) {
+  for (double *X : {&V.X, &V.Y, &V.Z}) {
+    *X = std::round(*X * 1e9) / 1e9;
+    if (*X == 0.0)
+      *X = 0.0;
+  }
+  return V;
+}
+
 /// Three pattern variables naming a vector's components, interned once
 /// when the rules are built: constructing a Symbol takes the process-wide
 /// intern lock, which the per-match guards and appliers must not.
@@ -110,7 +126,7 @@ std::vector<Rewrite> shrinkray::reorderRules() {
           return std::nullopt;
         Vec3 R = boundVec(G, S, Rv);
         Vec3 T = boundVec(G, S, Tv);
-        Vec3 Moved = Mat3::rotXyz(R) * T;
+        Vec3 Moved = onGrid(Mat3::rotXyz(R) * T);
         EClassId Rot =
             G.add(ENode(Op(OpKind::Rotate), {addVecConst(G, R), S[C]}));
         return G.add(
@@ -126,7 +142,7 @@ std::vector<Rewrite> shrinkray::reorderRules() {
           return std::nullopt;
         Vec3 R = boundVec(G, S, Rv);
         Vec3 T = boundVec(G, S, Tv);
-        Vec3 Moved = Mat3::rotXyz(R).transpose() * T;
+        Vec3 Moved = onGrid(Mat3::rotXyz(R).transpose() * T);
         EClassId Tr = G.add(
             ENode(Op(OpKind::Translate), {addVecConst(G, Moved), S[C]}));
         return G.add(ENode(Op(OpKind::Rotate), {addVecConst(G, R), Tr}));

@@ -18,7 +18,10 @@
 ///    Rotate(r, Translate(v, c)) == Translate(R_r v, Rotate(r, c)) is exact
 ///    for every rotation). The printed per-axis forms in the arXiv draft
 ///    contain typographical `atan` artifacts; we use the underlying matrix
-///    identity that the authors state the rules were derived from.
+///    identity that the authors state the rules were derived from. The
+///    computed offset is rounded onto a 1e-9 grid, so that reordering
+///    there and back lands on the original literals and saturation
+///    reaches a fixpoint (docs/ARCHITECTURE.md).
 ///  * Fold extension handles union trees of any association via
 ///    Concat-normalization rules rather than relying on associativity
 ///    saturation, which keeps the e-graph small on long union chains.

@@ -194,6 +194,26 @@ TEST(RuleSoundness, ReorderTranslateRotateRoundTrips) {
   expectRulesSound(reorderRules(), T, "reorder-translate-rotate");
 }
 
+TEST(RuleSoundness, OffAxisRotateTranslateReorderSaturates) {
+  // R*t followed by R^T*(R*t) misses t by an ulp off the axes; unless the
+  // reorders land on the literals they started from, every pass mints
+  // fresh Float classes and the cycle never closes.
+  const TermPtr Inputs[] = {
+      tRotate(20, 40, 60, tTranslate(1, 2, 3, tUnit())),
+      tRotate(0.5, 0, 36, tTranslate(125, 0, 0, tUnit())),
+      tRotate(20, 40, 60, tTranslate(1.0 / 3, -2.0 / 7, 3.1, tUnit())),
+      tTranslate(1.0 / 3, 5, -2.0 / 7, tRotate(33, 0, 71, tSphere()))};
+  for (const TermPtr &T : Inputs) {
+    EGraph G;
+    G.addTerm(T);
+    RunnerReport Rep = Runner().run(G, reorderRules());
+    EXPECT_EQ(Rep.Stop, StopReason::Saturated) << printSexp(T);
+    EXPECT_LE(Rep.numIterations(), 5u) << printSexp(T);
+    EXPECT_LE(G.numNodes(), 40u) << printSexp(T);
+    expectRulesSound(reorderRules(), T, "reorder-rotate-translate-cycle");
+  }
+}
+
 TEST(RuleSoundness, ReorderUniformScaleRotate) {
   TermPtr T = tScale(2, 2, 2, tRotate(10, 20, 30, tUnit()));
   expectRulesSound(reorderRules(), T, "reorder-uniform-scale-rot");

@@ -415,13 +415,13 @@ TEST(ServerFrameTest, FullQueueRejectsWhileInFlightJobsComplete) {
   Server S(Cfg);
   Server::Session Sess;
 
-  // Park the single worker on the corpus's slowest model (seconds of
-  // work; cancelled below once the rejection landed), then fill the
-  // 1-deep queue behind it.
+  // Park the single worker on a 240-tooth gear (seconds of work: its fold
+  // chain spends the full iteration fuel; cancelled below once the
+  // rejection landed), then fill the 1-deep queue behind it.
   Request Slow;
   Slow.K = Request::Kind::Submit;
   Slow.Name = "slow";
-  Slow.Source = printSexp(models::modelByName("3432939:nintendo-slot").FlatCsg);
+  Slow.Source = printSexp(models::gearModel(240));
   JsonValue First = parsed(S.handleFrame(Sess, encodeRequest(Slow)));
   ASSERT_TRUE(okOf(First));
   uint64_t SlowJob = static_cast<uint64_t>(First.get("job")->asNumber());

@@ -63,6 +63,12 @@ std::vector<std::string> runCorpus(size_t Workers, bool EnableCache) {
   return Out;
 }
 
+/// An input that keeps a worker busy for seconds by construction: a
+/// 240-tooth gear, whose fold chain extends by one tooth per saturation
+/// iteration and so spends the full iteration fuel before solving 240
+/// elements. Every corpus model finishes well inside a second.
+TermPtr slowInput() { return models::gearModel(240); }
+
 std::string tempDir(const char *Name) {
   std::string Dir = testing::TempDir() + "/" + Name;
   std::filesystem::remove_all(Dir);
@@ -119,12 +125,12 @@ TEST(SynthesisServiceTest, DeadlineReturnsPartialResultWithoutDeadlock) {
   Cfg.EnableCache = false;
   SynthesisService Service(Cfg);
 
-  // An impossible budget on the corpus's slowest model: the job must
-  // come back Cancelled — with whatever programs the graph held — and
-  // the pool must keep serving.
+  // An impossible budget on a slow input: the job must come back
+  // Cancelled — with whatever programs the graph held — and the pool must
+  // keep serving.
   JobSpec Slow;
   Slow.Name = "slow";
-  Slow.Input = models::modelByName("3432939:nintendo-slot").FlatCsg;
+  Slow.Input = slowInput();
   Slow.DeadlineSec = 0.005;
   SynthesisService::JobId SlowId = Service.submit(std::move(Slow));
 
@@ -156,8 +162,8 @@ TEST(SynthesisServiceTest, DeadlineSweepLandsMidPipelineAndStaysPartial) {
   Cfg.EnableCache = false;
   SynthesisService Service(Cfg);
 
-  const TermPtr Input = models::modelByName("3432939:nintendo-slot").FlatCsg;
-  for (double DeadlineSec : {0.002, 0.01, 0.05, 0.25}) {
+  const TermPtr Input = slowInput();
+  for (double DeadlineSec : {0.002, 0.01, 0.05, 0.25, 1.5}) {
     JobSpec Spec;
     Spec.Name = "sweep";
     Spec.Input = Input;
@@ -189,7 +195,7 @@ TEST(SynthesisServiceTest, CancelQueuedJobCompletesWithoutRunning) {
 
   JobSpec Slow;
   Slow.Name = "head";
-  Slow.Input = models::modelByName("3432939:nintendo-slot").FlatCsg;
+  Slow.Input = slowInput();
   SynthesisService::JobId Head = Service.submit(std::move(Slow));
 
   JobSpec Queued;
@@ -528,7 +534,7 @@ TEST(ServiceQueryTest, WaitForTimesOutOnBusyJobThenCompletes) {
 
   JobSpec Slow;
   Slow.Name = "slow";
-  Slow.Input = models::modelByName("3432939:nintendo-slot").FlatCsg;
+  Slow.Input = slowInput();
   SynthesisService::JobId Id = Service.submit(std::move(Slow));
 
   // A zero-timeout poll-style wait and a short one both time out while
@@ -590,7 +596,7 @@ TEST(ServiceQueryTest, TrySubmitEnforcesTheQueueBound) {
 
   JobSpec Slow;
   Slow.Name = "head";
-  Slow.Input = models::modelByName("3432939:nintendo-slot").FlatCsg;
+  Slow.Input = slowInput();
   std::optional<SynthesisService::JobId> Head =
       Service.trySubmit(std::move(Slow));
   ASSERT_TRUE(Head.has_value());
@@ -657,7 +663,7 @@ TEST(ServiceQueryTest, AwaitIdleTimesOutWhileWorkRemains) {
   SynthesisService Service(Cfg);
   JobSpec Slow;
   Slow.Name = "busy";
-  Slow.Input = models::modelByName("3432939:nintendo-slot").FlatCsg;
+  Slow.Input = slowInput();
   SynthesisService::JobId Id = Service.submit(std::move(Slow));
   EXPECT_FALSE(Service.awaitIdle(0.01));
   Service.cancel(Id);

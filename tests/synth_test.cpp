@@ -5,6 +5,7 @@
 #include "cad/Eval.h"
 #include "cad/Sexp.h"
 #include "geom/Sample.h"
+#include "models/Models.h"
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,20 @@ TermPtr translatedCubes(int N) {
   for (int I = 1; I <= N; ++I)
     Cubes.push_back(tTranslate(2.0 * I, 0, 0, tUnit()));
   return tUnionAll(Cubes);
+}
+
+/// \p T with the X angle of its \p K-th Rotate (pre-order, 0-based) set
+/// to \p XAngle. \p K counts down as Rotates are passed.
+TermPtr tiltRotate(const TermPtr &T, int &K, double XAngle) {
+  if (T->kind() == OpKind::Rotate && K-- == 0) {
+    const TermPtr &V = T->child(0);
+    return tRotate(tVec3(tFloat(XAngle), V->child(1), V->child(2)),
+                   T->child(1));
+  }
+  std::vector<TermPtr> Kids;
+  for (const TermPtr &C : T->children())
+    Kids.push_back(K >= 0 ? tiltRotate(C, K, XAngle) : C);
+  return makeTerm(T->op(), std::move(Kids));
 }
 
 } // namespace
@@ -306,4 +321,34 @@ TEST(SynthTest, TrigDiversityForSquarePattern) {
   }
   EXPECT_TRUE(SawLoop);
   EXPECT_TRUE(SawTrig);
+}
+
+TEST(SynthTest, TableOneSlowModelsSaturate) {
+  // The two models whose rotate/translate reorders used to cycle until the
+  // iteration limit: both must now reach a fixpoint at default fuel.
+  for (const char *Name : {"3432939:nintendo-slot", "3362402:gear"}) {
+    SynthesisResult R =
+        Synthesizer().synthesize(models::modelByName(Name).FlatCsg);
+    EXPECT_EQ(R.Stats.Rewriting.Stop, StopReason::Saturated) << Name;
+    EXPECT_EQ(R.structureRank(), 1u) << Name;
+  }
+}
+
+TEST(SynthTest, TiltedGearToothEditsSaturate) {
+  // A one-literal edit of a scaled gear: one tooth's Rotate gets an
+  // off-axis X angle. The reorders then compute rotated offsets that are
+  // not exact in floating point, and without landing back on the original
+  // literals they grew the graph to the node limit.
+  for (int Teeth : {6, 10, 12, 15, 20}) {
+    const TermPtr Gear = tScale(0.75, 0.75, 1, models::gearModel(Teeth));
+    for (int Tooth = 0; Tooth < Teeth; ++Tooth) {
+      int K = Tooth;
+      SynthesisResult R = Synthesizer().synthesize(tiltRotate(Gear, K, 0.5));
+      ASSERT_EQ(K, -1) << "gear(" << Teeth << ") has no tooth " << Tooth;
+      ASSERT_EQ(R.Stats.Rewriting.Stop, StopReason::Saturated)
+          << "gear(" << Teeth << ") tooth " << Tooth;
+      EXPECT_LT(R.Stats.ENodes, 5000u)
+          << "gear(" << Teeth << ") tooth " << Tooth;
+    }
+  }
 }

@@ -231,10 +231,11 @@ void checkEdit(size_t Threads) {
       EXPECT_TRUE(Warm.Stats.WarmStartEdit) << M.Name;
     } else {
       // Two sound outcomes: the resumed run ends quiescent (frozen
-      // frontier, the fuel-bounded fixpoint — e.g. nintendo-slot) and
-      // counts as a warm start, or growth is detected and the pipeline
-      // falls back to cold (e.g. gear mid-saturation). Either way the
-      // output must be the cold output, byte for byte.
+      // frontier, the fuel-bounded fixpoint) and counts as a warm start,
+      // or growth is detected and the pipeline falls back to cold (a
+      // capture cut off mid-saturation). Either way the output must be
+      // the cold output, byte for byte. Every corpus model saturates at
+      // default fuel, so this branch guards non-default budgets.
       EXPECT_TRUE(Warm.Stats.WarmStart || Warm.Stats.WarmStartAborted)
           << M.Name;
     }
@@ -246,7 +247,7 @@ void checkEdit(size_t Threads) {
 /// can store it; every other run derives the engine once, after the
 /// solve. The two schedules must produce the same programs, cost bits,
 /// ranks and final graph. Plain builds run all 16 models, nintendo-slot
-/// and gear included (~10 s per thread count on 4 cores).
+/// and gear included.
 void checkCaptureIsInvisible(size_t Threads) {
   for (const models::BenchmarkModel &M : corpus()) {
     SynthesisOptions Off = baseOptions(Threads);
@@ -282,6 +283,33 @@ TEST(WarmStartTest, CostSwapMatchesColdFourThreads) { checkCostSwap(4); }
 TEST(WarmStartTest, EditMatchesColdOneThread) { checkEdit(1); }
 TEST(WarmStartTest, EditMatchesColdTwoThreads) { checkEdit(2); }
 TEST(WarmStartTest, EditMatchesColdFourThreads) { checkEdit(4); }
+
+// Every corpus model saturates at default fuel, so checkEdit only sees
+// Saturated captures. Cut gear's capture off mid-saturation to keep the
+// iteration-limited edit path covered: the resume runs with deeper fuel
+// and must either close warm or fall back to cold, with the cold output
+// either way.
+TEST(WarmStartTest, EditOfIterationLimitedCaptureMatchesCold) {
+  models::BenchmarkModel M = models::modelByName("3362402:gear");
+  TermPtr Edited = editedModel(M);
+  for (size_t Threads : {1, 4}) {
+    SynthesisOptions CapOpts = baseOptions(Threads);
+    CapOpts.CaptureSnapshot = true;
+    CapOpts.Limits.IterLimit = 20;
+    SynthesisResult Captured = Synthesizer(CapOpts).synthesize(M.FlatCsg);
+    ASSERT_TRUE(Captured.Snapshot.Present);
+    ASSERT_EQ(Captured.Snapshot.Stop, StopReason::IterLimit);
+
+    SynthesisOptions RunOpts = baseOptions(Threads);
+    RunOpts.Limits.IterLimit = Captured.Snapshot.IterationsDone + 64;
+    SynthesisResult Cold = Synthesizer(RunOpts).synthesize(Edited);
+    SynthesisResult Warm = Synthesizer(RunOpts).synthesizeWarm(
+        Edited, toWarmStart(Captured, /*SameInput=*/false,
+                            /*ExtractUsable=*/true));
+    EXPECT_TRUE(Warm.Stats.WarmStart || Warm.Stats.WarmStartAborted);
+    EXPECT_EQ(transcript(Cold), transcript(Warm)) << Threads;
+  }
+}
 
 // Saturation is bit-identical at any thread count, so a snapshot captured
 // single-threaded must restore and resume under a different thread count
