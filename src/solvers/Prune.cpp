@@ -13,6 +13,9 @@
 
 #include "solvers/Prune.h"
 
+#include "linalg/Vec3.h"
+
+#include <algorithm>
 #include <cmath>
 
 using namespace shrinkray;
@@ -39,7 +42,7 @@ unsigned shrinkray::admissibleFamilies(const SequenceProfile &P,
     Mask |= FamPoly2;
   // Trig: the three-parameter sinusoid needs a fourth witness point
   // (mirrors the fitTrig entry check); per-frequency pruning happens
-  // inside the scan (trigPeriodFeasible).
+  // inside the scan (trigPeriodFeasible, trigRecurrenceFeasible).
   if (P.N >= 4)
     Mask |= FamTrig;
   return Mask;
@@ -56,5 +59,25 @@ bool shrinkray::trigPeriodFeasible(const std::vector<double> &Ys,
   for (size_t I = 0; I + Period < Ys.size(); ++I)
     if (std::fabs(Ys[I] - Ys[I + Period]) > Bound)
       return false;
+  return true;
+}
+
+bool shrinkray::trigRecurrenceFeasible(const std::vector<double> &Ys,
+                                       double Freq, const SequenceProfile &P,
+                                       const SolverOptions &Opts) {
+  if (!Opts.EnablePruning || Ys.size() < 3)
+    return true;
+  const double TwoCos = 2.0 * std::cos(degToRad(Freq));
+  const double Bound = 2.0 * (2.0 + std::fabs(TwoCos)) *
+                           epsilonBand(Opts.Epsilon) +
+                       4.0 * pruneSlack(P);
+  double Lo = Ys[2] - TwoCos * Ys[1] + Ys[0], Hi = Lo;
+  for (size_t I = 2; I + 1 < Ys.size(); ++I) {
+    const double T = Ys[I + 1] - TwoCos * Ys[I] + Ys[I - 1];
+    Lo = std::min(Lo, T);
+    Hi = std::max(Hi, T);
+    if (Hi - Lo > Bound)
+      return false;
+  }
   return true;
 }

@@ -23,6 +23,18 @@
 ///  - Trig at a fixed scan frequency b = 360*m/k: the sinusoid repeats
 ///    exactly every p = k / gcd(m, k) samples, so |y_i - y_{i+p}| <= 2*Band
 ///    whenever p <= n-1 (used per-candidate inside the frequency scan).
+///  - Trig at any scan frequency b: every sinusoid s(i) = a*sin(b*i + c) + d
+///    satisfies s(i+1) - 2cos(b)*s(i) + s(i-1) = 2d(1 - cos b), a constant.
+///    With y_i = s(i) + e_i and |e_i| <= Band, the recurrence residual
+///    t_i = y_{i+1} - 2cos(b)*y_i + y_{i-1} equals that constant plus an
+///    error of weight |1| + |-2cos b| + |1| = 2 + 2|cos b| band units, so
+///    max(t) - min(t) <= 2*(2 + 2|cos b|)*Band (also per candidate, checked
+///    before the scan builds the candidate's columns). Its slack is four
+///    times the usual one: it absorbs the roundoff of computing t_i and
+///    cos(b) (a few ulps of max|y|), and the gap between the exact
+///    sinusoid and `ClosedForm::evaluate`'s floating-point sin(b*i + c),
+///    which verification actually compares against (at most a few ulps of
+///    the fit's amplitude and offset, each weighted by at most 4).
 ///
 /// Each bound is checked with a small magnitude-scaled slack on top, so a
 /// fit sitting exactly on a bound is never pruned by floating-point
@@ -62,6 +74,15 @@ unsigned admissibleFamilies(const SequenceProfile &P,
 /// every pair of samples one period apart agrees within 2*Band (+ slack).
 bool trigPeriodFeasible(const std::vector<double> &Ys, size_t Period,
                         const SequenceProfile &P, const SolverOptions &Opts);
+
+/// Per-candidate trig pruning: true when a sinusoid at scan frequency
+/// \p Freq (degrees per sample) may still lie within the band of \p Ys —
+/// i.e. the range of the recurrence residuals
+/// y_{i+1} - 2cos(Freq)*y_i + y_{i-1} is at most 2*(2 + 2|cos Freq|)*Band
+/// (+ slack). Sequences shorter than three samples carry no constraint.
+bool trigRecurrenceFeasible(const std::vector<double> &Ys, double Freq,
+                            const SequenceProfile &P,
+                            const SolverOptions &Opts);
 
 } // namespace shrinkray
 

@@ -8,10 +8,14 @@
 /// The frequency-scan sinusoid solver (paper Sec. 4.1): for each candidate
 /// frequency b = 360*m/k the model a*sin(b i + c) + d is linear in
 /// (P, Q, d), so a scan plus linear least squares replaces iterative SVD
-/// refinement. Additions over the pre-pipeline fitTrig: candidates whose
-/// exact sample period contradicts the data are pruned before the
-/// least-squares solve (a sound necessary condition — see Prune.h), and
-/// the cancellation token is checked as the scan progresses.
+/// refinement. Additions over the pre-pipeline fitTrig: two sound
+/// necessary conditions (see Prune.h) prune candidates before their columns
+/// are built — the exact sample period must repeat within the band, and
+/// the sinusoid recurrence y_{i+1} - 2cos(b) y_i + y_{i-1} must be constant
+/// within the band — so only frequencies whose fit can verify pay for the
+/// least-squares solve. The scan reuses the stage-0 profile the pipeline
+/// already computed, and the cancellation token is checked as it
+/// progresses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +33,13 @@ using namespace shrinkray;
 
 std::optional<ClosedForm>
 shrinkray::fitTrigForm(const std::vector<double> &Ys,
+                       const SolverOptions &Opts) {
+  return fitTrigForm(Ys, sequenceProfile(Ys), Opts);
+}
+
+std::optional<ClosedForm>
+shrinkray::fitTrigForm(const std::vector<double> &Ys,
+                       const SequenceProfile &Profile,
                        const SolverOptions &Opts) {
   const size_t N = Ys.size();
   // The model has three free parameters (amplitude, phase, offset), so any
@@ -62,7 +73,6 @@ shrinkray::fitTrigForm(const std::vector<double> &Ys,
                                }),
                    Candidates.end());
 
-  const SequenceProfile Profile = sequenceProfile(Ys);
   std::optional<ClosedForm> Best;
   size_t Scanned = 0;
   for (const Candidate &Cand : Candidates) {
@@ -75,7 +85,12 @@ shrinkray::fitTrigForm(const std::vector<double> &Ys,
     // agree within the band for any fit to verify.
     if (!trigPeriodFeasible(Ys, Cand.Period, Profile, Opts))
       continue;
+    // Stage-1, per frequency: any sinusoid at b satisfies
+    // s(i+1) - 2cos(b) s(i) + s(i-1) = const, so the data's recurrence
+    // residuals must agree within the band for any fit to verify.
     const double Freq = Cand.Freq;
+    if (!trigRecurrenceFeasible(Ys, Freq, Profile, Opts))
+      continue;
     // a*sin(b i + c) + d = P*sin(b i) + Q*cos(b i) + d: linear in
     // (P, Q, d). The offset column makes Figure 19's `10 + 7.07*sin(...)`
     // expressible. At some frequencies one sinusoid column vanishes on the
@@ -156,5 +171,5 @@ shrinkray::fitTrigForm(const std::vector<double> &Ys,
 std::optional<ClosedForm> TrigModule::fitFamily(const SolveContext &Ctx,
                                                 unsigned Family) const {
   (void)Family;
-  return fitTrigForm(Ctx.Ys, Ctx.Opts);
+  return fitTrigForm(Ctx.Ys, Ctx.Profile, Ctx.Opts);
 }

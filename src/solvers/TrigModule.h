@@ -9,7 +9,8 @@
 /// sinusoid solver a*sin(b*i + c) + d, ranked by R^2 (paper Sec. 4.1) —
 /// the code previously inlined in FunctionSolver::fitTrig, now behind the
 /// SolverModule interface with per-frequency stage-1 pruning
-/// (Prune.h: trigPeriodFeasible) and cancellation checks inside the scan.
+/// (Prune.h: trigPeriodFeasible, trigRecurrenceFeasible) and cancellation
+/// checks inside the scan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,12 @@ public:
 /// token stops the scan and returns the best form found so far (or
 /// nullopt when none was).
 std::optional<ClosedForm> fitTrigForm(const std::vector<double> &Ys,
+                                      const SolverOptions &Opts);
+
+/// fitTrigForm with the stage-0 profile of \p Ys already computed (the
+/// pipeline's TrigModule passes SolveContext::Profile).
+std::optional<ClosedForm> fitTrigForm(const std::vector<double> &Ys,
+                                      const SequenceProfile &Profile,
                                       const SolverOptions &Opts);
 
 } // namespace shrinkray

@@ -39,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -84,12 +85,78 @@ TermPtr threeIdenticalCubes() {
 
 /// Byte-exact fingerprint of a solve result (what "pruning never changes
 /// results" means: same forms, same coefficients, same order, same module).
+/// Coefficients print as hex floats, so one ulp apart is a difference.
 std::string fingerprint(const std::vector<ClosedForm> &Forms) {
   std::ostringstream S;
+  S << std::hexfloat;
   for (const ClosedForm &F : Forms)
     S << static_cast<int>(F.Kind) << "|" << F.A << "|" << F.B << "|" << F.C
       << "|" << F.D << "|" << F.R2 << "|" << F.Module << "\n";
   return S.str();
+}
+
+/// The trig scan's candidate frequencies for \p N samples, enumerated as
+/// fitTrigForm does: 360*m/k for k = 2..2n and m = 1..3, below 360, sorted
+/// and deduplicated.
+std::vector<double> scanFrequencies(size_t N) {
+  std::vector<double> Out;
+  for (size_t K = 2; K <= 2 * N; ++K)
+    for (size_t M = 1; M <= 3; ++M) {
+      double B = 360.0 * static_cast<double>(M) / static_cast<double>(K);
+      if (B < 360.0)
+        Out.push_back(B);
+    }
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}
+
+/// Amplitude, phase (degrees) and offset of a test sinusoid.
+struct Wave {
+  double A, C, D;
+};
+
+/// Band-edge test waves: plain, Figure 19's offset shape, a large
+/// amplitude, and a 1e6 offset (where the magnitude-scaled slack matters).
+constexpr Wave kWaves[] = {
+    {10.0, 0.0, 0.0}, {7.07, 45.0, 10.0}, {250.0, 300.0, -40.0},
+    {3.0, 17.0, 1e6}};
+
+/// \p N samples of A*sin(Freq*i + C) + D, evaluated as verification does.
+std::vector<double> sinusoid(size_t N, const Wave &W, double Freq) {
+  ClosedForm F;
+  F.Kind = FormKind::Trig;
+  F.A = W.A;
+  F.B = Freq;
+  F.C = W.C;
+  F.D = W.D;
+  std::vector<double> Ys;
+  for (size_t I = 0; I < N; ++I)
+    Ys.push_back(F.evaluate(static_cast<double>(I)));
+  return Ys;
+}
+
+/// Moves every sample of \p Ys by +-\p Shift. Pattern 0 alternates signs
+/// (+-+-: the worst case of the recurrence bound when cos b >= 0), 1 uses
+/// blocks of three (+++---: the worst case when cos b < 0), 2 is a fixed
+/// pseudo-random sign sequence.
+std::vector<double> nudged(std::vector<double> Ys, double Shift,
+                           int Pattern) {
+  for (size_t I = 0; I < Ys.size(); ++I) {
+    bool Up = Pattern == 0   ? I % 2 == 0
+              : Pattern == 1 ? (I / 3) % 2 == 0
+                             : ((I * 2654435761u) >> 7) % 2 == 0;
+    Ys[I] += Up ? Shift : -Shift;
+  }
+  return Ys;
+}
+
+/// gear's tooth-angle line 0, 6, ..., 354 (60 samples).
+std::vector<double> gearAngles() {
+  std::vector<double> Ys;
+  for (int I = 0; I < 60; ++I)
+    Ys.push_back(6.0 * I);
+  return Ys;
 }
 
 /// Byte-exact transcript of a synthesis result (program sexps and costs).
@@ -275,6 +342,75 @@ TEST(SolverPrune, TrigPeriodFeasibility) {
   EXPECT_TRUE(trigPeriodFeasible(Ys, Ys.size(), P, Opts));
 }
 
+TEST(SolverPrune, TrigRecurrenceFeasibility) {
+  SolverOptions Opts;
+  const double Eps = Opts.Epsilon;
+  auto Feasible = [&](const std::vector<double> &Ys, double Freq) {
+    return trigRecurrenceFeasible(Ys, Freq, sequenceProfile(Ys), Opts);
+  };
+
+  // Exact sinusoids, and sinusoids with every sample moved to within
+  // 0.999*eps of the band edge or onto it, stay feasible at every scan
+  // frequency: each one has a verifying fit at that frequency.
+  size_t Checked = 0, Rejected = 0;
+  std::string FirstRejected;
+  auto Expect = [&](const std::vector<double> &Ys, double Freq,
+                    const char *What) {
+    ++Checked;
+    if (Feasible(Ys, Freq))
+      return;
+    if (Rejected++ == 0) {
+      std::ostringstream S;
+      S << What << " n=" << Ys.size() << " freq=" << Freq
+        << " y0=" << Ys[0];
+      FirstRejected = S.str();
+    }
+  };
+  for (size_t N = 4; N <= 24; ++N)
+    for (double Freq : scanFrequencies(N))
+      for (const Wave &W : kWaves) {
+        std::vector<double> Exact = sinusoid(N, W, Freq);
+        Expect(Exact, Freq, "exact");
+        for (int Pattern = 0; Pattern < 3; ++Pattern) {
+          Expect(nudged(Exact, 0.999 * Eps, Pattern), Freq, "0.999*eps");
+          Expect(nudged(Exact, Eps, Pattern), Freq, "eps");
+        }
+      }
+  EXPECT_EQ(Rejected, 0u) << "of " << Checked << "; first: " << FirstRejected;
+
+  // 180 degrees: sin(180 i) vanishes on the integer grid, so the scan fits
+  // only the cos column; the alternating sequence must survive the prune.
+  std::vector<double> Alternating = {5, -3, 5, -3, 5, -3, 5, -3};
+  EXPECT_TRUE(Feasible(Alternating, 180.0));
+  for (int Pattern = 0; Pattern < 3; ++Pattern)
+    EXPECT_TRUE(Feasible(nudged(Alternating, 0.999 * Eps, Pattern), 180.0))
+        << "pattern " << Pattern;
+
+  // gear's angle line is no sinusoid: its recurrence residuals grow with
+  // i, so every scan frequency is rejected — including the lowest,
+  // 360/(2n), whose 2n-sample period the period test cannot use.
+  std::vector<double> Angles = gearAngles();
+  const SequenceProfile AnglesP = sequenceProfile(Angles);
+  const double Lowest = 360.0 / (2.0 * static_cast<double>(Angles.size()));
+  EXPECT_TRUE(trigPeriodFeasible(Angles, 2 * Angles.size(), AnglesP, Opts));
+  EXPECT_FALSE(trigRecurrenceFeasible(Angles, Lowest, AnglesP, Opts));
+  for (double Freq : scanFrequencies(Angles.size()))
+    EXPECT_FALSE(trigRecurrenceFeasible(Angles, Freq, AnglesP, Opts))
+        << "freq " << Freq;
+
+  // Just past the band edge the prune fires: alternating +-1.01*eps on a
+  // 90-degree sinusoid (cos b = 0) spreads the residuals over 4.04*eps.
+  EXPECT_FALSE(
+      Feasible(nudged(sinusoid(8, kWaves[0], 90.0), 1.01 * Eps, 0), 90.0));
+
+  // Pruning disabled, or fewer than three samples: no constraint.
+  SolverOptions Off;
+  Off.EnablePruning = false;
+  EXPECT_TRUE(trigRecurrenceFeasible(Angles, Lowest, AnglesP, Off));
+  std::vector<double> Two = {0, 100};
+  EXPECT_TRUE(Feasible(Two, 90.0));
+}
+
 //===----------------------------------------------------------------------===//
 // Stage 2: modules, preference order, attribution
 //===----------------------------------------------------------------------===//
@@ -346,6 +482,20 @@ TEST(SolverPipeline, PruningDifferentialOnAdversarialSequences) {
       Mixed.push_back(10 + 7 * std::sin((45.0 * I) * kPi / 180.0));
     Sequences.push_back(std::move(Mixed));
   }
+  // Sinusoids at scan frequencies, exact and at 0.999*eps from the band
+  // edge, including 1e6 offsets and the 180-degree alternating case (the
+  // trig recurrence prune's accept side), plus gear's angle line (its
+  // reject side).
+  for (size_t N : {4u, 5u, 6u, 7u, 9u, 12u, 17u, 24u})
+    for (double Freq : scanFrequencies(N))
+      for (const Wave &W : kWaves) {
+        std::vector<double> Exact = sinusoid(N, W, Freq);
+        Sequences.push_back(Exact);
+        for (int Pattern = 0; Pattern < 3; ++Pattern)
+          Sequences.push_back(nudged(Exact, 0.999e-3, Pattern));
+      }
+  Sequences.push_back({5, -3, 5, -3, 5, -3, 5, -3});
+  Sequences.push_back(gearAngles());
   // Deterministic pseudo-random sequences (LCG; no libc rand state).
   uint64_t State = 0x2545F4914F6CDD1DULL;
   for (int Seq = 0; Seq < 8; ++Seq) {
