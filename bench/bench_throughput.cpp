@@ -12,13 +12,6 @@
 //                 cache: every row should be a cache hit served in
 //                 microseconds.
 //
-// A fourth set exercises the snapshot tier through the service: a small
-// subcorpus is submitted at default fuel (capturing snapshots), then
-// resubmitted with deeper fuel and with a one-leaf numeric edit. The
-// warm rows are verified byte-identical to cold runs of the same
-// requests on a warm-start-disabled service, and every deeper-fuel
-// resubmission must actually resume warm.
-//
 // Emits BENCH_throughput.json with one row per (model, kind) — jobs/sec
 // per pass, the cache-hit count, and the outputs-identical verdict in the
 // metrics (docs/BENCHMARKS.md documents the schema; CI gates the
@@ -96,115 +89,6 @@ double jobsPerSec(const PassResult &R) {
                        : 0.0;
 }
 
-TermPtr editFirstNumericLeaf(const TermPtr &T, bool &Edited) {
-  if (Edited)
-    return T;
-  OpKind K = T->kind();
-  if (K == OpKind::Int) {
-    Edited = true;
-    return tInt(static_cast<int64_t>(T->op().numericValue()) + 1);
-  }
-  if (K == OpKind::Float) {
-    Edited = true;
-    return tFloat(T->op().numericValue() + 0.03125);
-  }
-  std::vector<TermPtr> Kids;
-  Kids.reserve(T->numChildren());
-  bool Changed = false;
-  for (const TermPtr &Kid : T->children()) {
-    TermPtr NewKid = editFirstNumericLeaf(Kid, Edited);
-    Changed |= NewKid != Kid;
-    Kids.push_back(std::move(NewKid));
-  }
-  return Changed ? makeTerm(T->op(), std::move(Kids)) : T;
-}
-
-/// Submits \p Input at \p IterLimit and waits; returns the outcome.
-const JobOutcome &submitOne(SynthesisService &Service, const std::string &Name,
-                            const TermPtr &Input, size_t IterLimit) {
-  JobSpec Spec;
-  Spec.Name = Name;
-  Spec.Input = Input;
-  Spec.Options.Limits.IterLimit = IterLimit;
-  return Service.wait(Service.submit(std::move(Spec)));
-}
-
-struct WarmStartRows {
-  size_t Identical = 0; ///< warm transcripts matching their cold reference
-  size_t Pairs = 0;
-  size_t DeeperWarm = 0; ///< deeper-fuel resubmissions that resumed warm
-  size_t EditWarm = 0;   ///< edited resubmissions that resumed warm
-};
-
-/// The snapshot-tier row set: capture at default fuel on a warm-enabled
-/// service, resubmit deeper and edited, and diff each warm result against
-/// a cold run of the identical request on a warm-disabled service.
-WarmStartRows runWarmStartRows(JsonReport &Report,
-                               const std::vector<std::string> &Names) {
-  constexpr size_t CaptureIters = 128, DeeperIters = 192;
-  WarmStartRows R;
-
-  ServiceConfig WarmCfg;
-  WarmCfg.NumWorkers = 1;
-  SynthesisService WarmSvc(WarmCfg);
-
-  ServiceConfig ColdCfg;
-  ColdCfg.NumWorkers = 1;
-  ColdCfg.EnableCache = false;
-  ColdCfg.EnableWarmStart = false;
-  SynthesisService ColdSvc(ColdCfg);
-
-  for (const std::string &Name : Names) {
-    const models::BenchmarkModel M = models::modelByName(Name);
-    bool Edited = false;
-    const TermPtr EditedInput = editFirstNumericLeaf(M.FlatCsg, Edited);
-
-    // Seed the snapshot, then the two near-miss resubmissions.
-    submitOne(WarmSvc, M.Name, M.FlatCsg, CaptureIters);
-    const JobOutcome &Deeper = submitOne(WarmSvc, M.Name, M.FlatCsg,
-                                         DeeperIters);
-    const JobOutcome &Edit = submitOne(WarmSvc, M.Name, EditedInput,
-                                       DeeperIters);
-    const JobOutcome &ColdDeeper = submitOne(ColdSvc, M.Name, M.FlatCsg,
-                                             DeeperIters);
-    const JobOutcome &ColdEdit = submitOne(ColdSvc, M.Name, EditedInput,
-                                           DeeperIters);
-
-    struct Row {
-      const char *Kind;
-      const JobOutcome *Warm, *Cold;
-      size_t *WarmCount;
-    };
-    const Row Rows[] = {
-        {"warm-deeper-fuel", &Deeper, &ColdDeeper, &R.DeeperWarm},
-        {"warm-edit", &Edit, &ColdEdit, &R.EditWarm},
-    };
-    for (const Row &Ro : Rows) {
-      bool Same = transcript(*Ro.Warm) == transcript(*Ro.Cold);
-      bool Warm = Ro.Warm->Result.Stats.WarmStart &&
-                  !Ro.Warm->Result.Stats.WarmStartAborted;
-      ++R.Pairs;
-      R.Identical += Same ? 1 : 0;
-      *Ro.WarmCount += Warm ? 1 : 0;
-      if (!Same)
-        std::printf("WARM OUTPUT MISMATCH: %s %s\n", M.Name.c_str(), Ro.Kind);
-      Report.row()
-          .add("model", M.Name)
-          .add("kind", Ro.Kind)
-          .add("time_sec", Ro.Warm->RunSec)
-          .add("warm", Warm)
-          .add("outputs_identical", Same);
-      Report.row()
-          .add("model", M.Name)
-          .add("kind", std::string("cold-") + (Ro.Kind + 5))
-          .add("time_sec", Ro.Cold->RunSec)
-          .add("warm", false)
-          .add("outputs_identical", true);
-    }
-  }
-  return R;
-}
-
 } // namespace
 
 int main() {
@@ -254,14 +138,6 @@ int main() {
   std::printf("outputs    : %zu/%zu identical across passes -> %s\n",
               Identical, Corpus.size(), OutputsIdentical ? "OK" : "MISMATCH");
 
-  // --- Snapshot-tier warm starts through the service --------------------
-  const WarmStartRows WS = runWarmStartRows(
-      Report, {"3148599:box-tray", "3094201:dice", "3333935:compose",
-               "64847:sd-rack"});
-  std::printf("warm starts: %zu/%zu outputs identical, %zu/4 deeper-fuel "
-              "warm, %zu/4 edit warm\n",
-              WS.Identical, WS.Pairs, WS.DeeperWarm, WS.EditWarm);
-
   const double Speedup = Conc.WallSec > 0 ? Seq.WallSec / Conc.WallSec : 0.0;
   addRows(Report, Corpus, "sequential", Seq);
   addRows(Report, Corpus, "concurrent", Conc);
@@ -276,10 +152,7 @@ int main() {
       .add("seq_jobs_per_sec", jobsPerSec(Seq))
       .add("conc_jobs_per_sec", jobsPerSec(Conc))
       .add("warm_jobs_per_sec", jobsPerSec(Warm))
-      .add("concurrent_speedup", Speedup)
-      .add("warmstart_outputs_identical", WS.Identical == WS.Pairs)
-      .add("warmstart_deeper_warm", WS.DeeperWarm)
-      .add("warmstart_edit_warm", WS.EditWarm);
+      .add("concurrent_speedup", Speedup);
 
   // The harness itself is a gate: a mismatch or a cold warm-cache run is
   // a service-layer bug even when every job "succeeded".
@@ -287,17 +160,6 @@ int main() {
   if (!WarmOk)
     std::fprintf(stderr, "[bench] warm pass hit only %zu/%zu\n", Warm.Hits,
                  Corpus.size());
-  // Snapshot-tier gates: every warm result byte-identical to its cold
-  // reference, and the same-input deeper-fuel resumes (which never depend
-  // on the edit gate) all actually warm. Edit resumes may legitimately
-  // fall back cold on models whose capture stopped at IterLimit without a
-  // quiescent tail, so they are reported but not individually gated.
-  bool WarmStartOk = WS.Identical == WS.Pairs && WS.DeeperWarm == 4;
-  if (!WarmStartOk)
-    std::fprintf(stderr,
-                 "[bench] warm-start rows: %zu/%zu identical, %zu/4 deeper "
-                 "warm\n",
-                 WS.Identical, WS.Pairs, WS.DeeperWarm);
   // The scheduler must never make the corpus *slower* than one worker:
   // admission control caps running jobs at the core count, so even a
   // 4-worker pool on a smaller machine degrades to sequential speed, not
@@ -307,8 +169,5 @@ int main() {
     std::fprintf(stderr, "[bench] concurrent pass slower than sequential: "
                          "speedup %.3f < 1.0\n",
                  Speedup);
-  return Report.write() && OutputsIdentical && WarmOk && WarmStartOk &&
-                 SpeedupOk
-             ? 0
-             : 1;
+  return Report.write() && OutputsIdentical && WarmOk && SpeedupOk ? 0 : 1;
 }

@@ -79,19 +79,6 @@ void EGraph::memoErase(const ENode &Form) {
   --MemoCount;
 }
 
-void EGraph::rebuildMemo() {
-  Memo.clear();
-  MemoCount = 0;
-  // Dead nodes count too: when repair's dedupe drops a node whose stored
-  // form was the canonical one, the survivor's stored form may be stale.
-  for (ENodeId N = 0; N < Nodes.size(); ++N) {
-    const ENode &Form = Nodes[N];
-    const uint32_t H = memoHash(Form);
-    if (canonicalize(Form) == Form && memoFind(Form, H) == SIZE_MAX)
-      memoInsert(N, H);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Insertion, merge and rebuild
 //===----------------------------------------------------------------------===//
@@ -644,8 +631,7 @@ std::string EGraph::checkInvariants() const {
 
   // Canonical forms are identified by the memo node holding them (the
   // memo holds at most one node per form), so the checks below compare
-  // forms as node ids instead of hashing e-nodes into scratch sets: this
-  // runs on every snapshot restore.
+  // forms as node ids instead of hashing e-nodes into scratch sets.
   auto formId = [&](const ENode &Canon) -> std::optional<ENodeId> {
     size_t Slot = memoFind(Canon, memoHash(Canon));
     if (Slot == SIZE_MAX)
@@ -685,7 +671,7 @@ std::string EGraph::checkInvariants() const {
   //     form maps to its own class. And every memo entry keyed by a
   //     canonical form is the form of a live node, so a node table entry
   //     that no class backs cannot hash-cons a form into a class without
-  //     such a node (rebuildMemo() indexes the whole table).
+  //     such a node.
   std::vector<uint8_t> Backed(Nodes.size(), 0);
   for (ENodeId N = 0; N < Nodes.size(); ++N)
     if (FormOf[N] != NoForm)

@@ -167,7 +167,7 @@ public:
 
   /// Size of the id space (live classes plus superseded ids still routed
   /// through the union-find). Any id below this bound is safe to pass to
-  /// find(); snapshot-adjacent decoders use it to validate stored ids.
+  /// find().
   size_t numIds() const { return Classes.size(); }
 
   /// Canonical classes containing at least one e-node whose head operator
@@ -268,30 +268,6 @@ public:
 
   /// Multi-line dump for debugging and golden tests.
   std::string dump() const;
-
-  /// Serializes the complete logical graph state — union-find raw parent
-  /// slots, the node table verbatim (including stale child ids, which
-  /// queries canonicalize on the fly) with each node's stamp and home
-  /// class, every class's node and parent ids,
-  /// analysis data, the generation counter, and the dirty log + compaction
-  /// floor — behind a magic/version/checksum header (see docs/ARCHITECTURE.md,
-  /// "Snapshot format"). Restoring and continuing is bit-identical to
-  /// never having snapshotted: dumps match and subsequent saturation or
-  /// extraction visits the same classes in the same order. Reader leases
-  /// (acquireDirtyLease) are bookkeeping about *live* readers and are not
-  /// serialized. Requires a clean graph. Implemented in Snapshot.cpp.
-  void serialize(std::ostream &Os) const;
-
-  /// Restores a snapshot written by serialize() into *this, which must be
-  /// freshly default-constructed. The hash-consing memo and the op-index
-  /// are rebuilt from the class and node tables (their query results are
-  /// a pure function of them). Returns "" on success; on any failure —
-  /// bad magic, version mismatch, truncation, checksum mismatch, count
-  /// fields exceeding the payload, or a payload that decodes to an
-  /// inconsistent graph (the restored state must pass checkInvariants(),
-  /// which runs as the final step) — returns a diagnostic and leaves
-  /// *this empty. Never asserts on malformed input.
-  std::string deserialize(std::istream &Is);
 
   /// Validates the e-graph's internal invariants (canonical hash-consing,
   /// memo entries keyed by their nodes' stored forms, class membership
@@ -412,10 +388,6 @@ private:
   void memoInsert(ENodeId N, uint32_t Hash);
   /// Removes the entry keyed by \p Form, if any.
   void memoErase(const ENode &Form);
-  /// Rebuilds the memo from every node whose stored form is canonical
-  /// (snapshot restore).
-  void rebuildMemo();
-
   /// Computes the analysis data an e-node would contribute.
   AnalysisData makeData(const ENode &Node) const;
 

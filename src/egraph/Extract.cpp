@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "egraph/Extract.h"
-#include "egraph/SnapshotCodec.h"
 
 #include <cassert>
 #include <queue>
@@ -470,82 +469,6 @@ TermPtr Extractor::build(EClassId Id) const {
 }
 
 //===----------------------------------------------------------------------===//
-// One-best extraction: state save/restore (snapshot tier)
-//===----------------------------------------------------------------------===//
-
-Extractor::Extractor(RestoreTag, const EGraph &G, const CostFn &Fn)
-    : G(G), Fn(Fn) {
-  // Empty engine: no derivation. The lease is taken at the current
-  // generation so the dirty-log suffix restoreState() will validate
-  // against cannot be compacted away between construction and restore.
-  SyncedGen = G.generation();
-  DirtyLease = G.acquireDirtyLease(SyncedGen);
-}
-
-std::string Extractor::saveState() const {
-  snapcodec::Writer W;
-  W.u64(SyncedGen);
-  // Rows in ascending class-id order (the dense table's natural order):
-  // the blob must be a pure function of the logical state.
-  W.u32(static_cast<uint32_t>(CostsLive));
-  for (EClassId Id = 0; Id < Costs.size(); ++Id) {
-    if (!(Costs[Id] < UnsetCost))
-      continue;
-    W.u32(Id);
-    W.f64(Costs[Id]);
-    W.node(Choices.at(Id));
-  }
-  return W.take();
-}
-
-std::string Extractor::restoreState(std::string_view Bytes) {
-  snapcodec::Reader R{std::string(Bytes)};
-  std::string Err;
-  const uint64_t Gen = R.u64();
-  if (!R.ok())
-    return "truncated extraction state";
-  // The blob only makes sense on the graph it was saved against, at the
-  // exact generation it was saved at (the caller restores the graph
-  // snapshot first, then this).
-  if (Gen != G.generation())
-    return "extraction state generation mismatch";
-  const uint32_t NumRows = R.u32();
-  // Minimum row: u32 id + f64 cost + 5-byte node.
-  if (!R.ok() || !R.fits(NumRows, 17))
-    return "truncated extraction state";
-  const uint32_t NumIds = static_cast<uint32_t>(G.numIds());
-  Costs.assign(NumIds, UnsetCost);
-  CostsLive = 0;
-  Choices.clear();
-  uint32_t PrevId = 0;
-  for (uint32_t I = 0; I < NumRows; ++I) {
-    const uint32_t Id = R.u32();
-    if (!R.ok() || Id >= NumIds)
-      return "extraction state class id out of range";
-    if (I != 0 && Id <= PrevId)
-      return "extraction state rows not strictly ascending";
-    PrevId = Id;
-    if (G.find(Id) != Id)
-      return "extraction state row keyed by a non-canonical class";
-    const double Cost = R.f64();
-    if (!R.ok() || !(Cost < UnsetCost))
-      return "invalid extraction cost";
-    std::optional<ENode> Choice = R.node(NumIds, Err);
-    if (!Choice)
-      return Err.empty() ? "truncated extraction choice" : Err;
-    Costs[Id] = Cost;
-    ++CostsLive;
-    Choices.emplace(Id, std::move(*Choice));
-  }
-  if (!R.ok() || !R.atEnd())
-    return "trailing bytes after extraction state";
-  SyncedGen = Gen;
-  G.updateDirtyLease(DirtyLease, SyncedGen);
-  BuildMemo.clear();
-  return "";
-}
-
-//===----------------------------------------------------------------------===//
 // One-best extraction: fixed-point oracle
 //===----------------------------------------------------------------------===//
 
@@ -644,8 +567,7 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
   // combineClass is a pure function of (graph, table), so each member's
   // result is staged first. Commits then run in wave order, and parents of
   // changed classes rejoin the pending set. Wave order fixes the order in
-  // which rows are interned, and so the row ids that snapshot blobs store;
-  // and because candidate lists improve monotonically toward a unique
+  // which rows are interned; and because candidate lists improve monotonically toward a unique
   // least fixpoint (the property the oracle differential tests pin), the
   // result agrees with the priority-queue engine it replaced.
   //
@@ -1067,199 +989,6 @@ KBestExtractor::combineClass(EClassId Id) const {
     }
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Top-k extraction: state save/restore (snapshot tier)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr uint32_t KBestFormatVersion = 1;
-
-} // namespace
-
-std::string KBestExtractor::saveState() const {
-  snapcodec::Writer W;
-  W.u32(KBestFormatVersion);
-  W.u64(K);
-  W.str(OneBest.saveState());
-  W.u64(SyncedGen);
-
-  // Candidate rows in ascending class-id order (the table iterates in
-  // hash order; the blob must be canonical). Empty rows are dropped: a
-  // missing row and an empty row are indistinguishable through lookups.
-  std::vector<EClassId> Ids;
-  Ids.reserve(Table.size());
-  for (const auto &[Id, Cands] : Table)
-    if (!Cands.empty())
-      Ids.push_back(Id);
-  std::sort(Ids.begin(), Ids.end());
-
-  // Structure pool: every candidate emitted once as a back-referencing
-  // DAG (children before parents). The flat row store *is* already that
-  // DAG — deduplicated and immutable — so emission walks rows directly
-  // and never materializes a term. The pool is written to a side buffer
-  // first — pool size precedes pool bytes.
-  snapcodec::Writer PoolW;
-  std::unordered_map<uint32_t, uint32_t> PoolIdx; // row id -> pool index
-  std::vector<std::pair<uint32_t, uint32_t>> Stack;
-  auto poolEmit = [&](uint32_t Root) -> uint32_t {
-    auto Hit = PoolIdx.find(Root);
-    if (Hit != PoolIdx.end())
-      return Hit->second;
-    Stack.clear();
-    Stack.emplace_back(Root, 0);
-    while (!Stack.empty()) {
-      auto &[R, NextKid] = Stack.back();
-      if (PoolIdx.count(R)) {
-        Stack.pop_back();
-        continue;
-      }
-      const CandRow &Row = Rows[R];
-      const uint32_t N = Row.KidsEnd - Row.KidsBegin;
-      if (NextKid < N) {
-        const uint32_t Kid = RowKids[Row.KidsBegin + NextKid];
-        ++NextKid;
-        if (!PoolIdx.count(Kid))
-          Stack.emplace_back(Kid, 0);
-        continue;
-      }
-      PoolW.op(Row.Operator);
-      PoolW.u32(N);
-      for (uint32_t I = 0; I < N; ++I)
-        PoolW.u32(PoolIdx.at(RowKids[Row.KidsBegin + I]));
-      PoolIdx.emplace(R, static_cast<uint32_t>(PoolIdx.size()));
-      Stack.pop_back();
-    }
-    return PoolIdx.at(Root);
-  };
-  std::vector<std::vector<uint32_t>> RowRefs(Ids.size());
-  for (size_t I = 0; I < Ids.size(); ++I)
-    for (const CandRef &C : Table.at(Ids[I]))
-      RowRefs[I].push_back(poolEmit(C.Row));
-
-  W.u32(static_cast<uint32_t>(PoolIdx.size()));
-  W.str(PoolW.bytes());
-  W.u32(static_cast<uint32_t>(Ids.size()));
-  for (size_t I = 0; I < Ids.size(); ++I) {
-    const std::vector<CandRef> &Cands = Table.at(Ids[I]);
-    W.u32(Ids[I]);
-    W.u32(static_cast<uint32_t>(Cands.size()));
-    for (size_t C = 0; C < Cands.size(); ++C) {
-      W.f64(Cands[C].Cost);
-      W.u32(RowRefs[I][C]);
-    }
-  }
-  return W.take();
-}
-
-KBestExtractor::KBestExtractor(Extractor::RestoreTag Tag, const EGraph &G,
-                               const CostFn &Fn, size_t K)
-    : G(G), Fn(Fn), K(K), OneBest(Tag, G, Fn) {
-  SyncedGen = G.generation();
-  DirtyLease = G.acquireDirtyLease(SyncedGen);
-}
-
-std::unique_ptr<KBestExtractor>
-KBestExtractor::restore(const EGraph &G, const CostFn &Fn, size_t K,
-                        std::string_view Bytes, std::string &Err) {
-  assert(K >= 1 && "k must be positive");
-  std::unique_ptr<KBestExtractor> E(
-      new KBestExtractor(Extractor::RestoreTag{}, G, Fn, K));
-  Err = E->restoreState(Bytes);
-  if (!Err.empty())
-    return nullptr;
-  return E;
-}
-
-std::string KBestExtractor::restoreState(std::string_view Bytes) {
-  snapcodec::Reader R{std::string(Bytes)};
-  std::string Err;
-  if (R.u32() != KBestFormatVersion || !R.ok())
-    return "unsupported k-best state format version";
-  if (R.u64() != K || !R.ok())
-    return "k-best state saved with a different k";
-  if (std::string E = OneBest.restoreState(R.str()); !E.empty())
-    return E;
-  const uint64_t Gen = R.u64();
-  if (!R.ok())
-    return "truncated k-best state";
-  if (Gen != G.generation())
-    return "k-best state generation mismatch";
-
-  // Structure pool: decode straight into interned rows, children-first —
-  // no term is materialized. Child references must point strictly
-  // backwards, which both guarantees acyclicity and lets one forward
-  // pass intern every row.
-  const uint32_t NumPool = R.u32();
-  std::string PoolBytes = R.str();
-  if (!R.ok())
-    return "truncated k-best pool";
-  snapcodec::Reader PR{std::move(PoolBytes)};
-  std::vector<uint32_t> PoolRow; // pool index -> row id
-  PoolRow.reserve(NumPool);
-  std::vector<uint32_t> KidRows;
-  std::vector<size_t> KidHashes;
-  for (uint32_t I = 0; I < NumPool; ++I) {
-    std::optional<Op> O = PR.op(Err);
-    if (!O)
-      return Err.empty() ? "truncated k-best pool" : Err;
-    const uint32_t Arity = PR.u32();
-    const int Fixed = opArity(O->kind());
-    if (!PR.ok() || (Fixed >= 0 && static_cast<uint32_t>(Fixed) != Arity) ||
-        !PR.fits(Arity, 4))
-      return "k-best pool arity out of range";
-    KidRows.clear();
-    KidHashes.clear();
-    for (uint32_t A = 0; A < Arity; ++A) {
-      const uint32_t Kid = PR.u32();
-      if (!PR.ok() || Kid >= I)
-        return "k-best pool child reference out of range";
-      KidRows.push_back(PoolRow[Kid]);
-      KidHashes.push_back(Rows[PoolRow[Kid]].ValueHash);
-    }
-    const size_t VH = termValueHashNode(*O, KidHashes);
-    PoolRow.push_back(internRow(*O, KidRows.data(), KidRows.size(), VH));
-  }
-  if (!PR.atEnd())
-    return "trailing bytes after k-best pool";
-
-  const uint32_t NumRows = R.u32();
-  // Minimum row: u32 id + u32 count + one (f64, u32) candidate.
-  if (!R.ok() || !R.fits(NumRows, 20))
-    return "truncated k-best table";
-  const uint32_t NumIds = static_cast<uint32_t>(G.numIds());
-  Table.clear();
-  uint32_t PrevId = 0;
-  for (uint32_t I = 0; I < NumRows; ++I) {
-    const uint32_t Id = R.u32();
-    if (!R.ok() || Id >= NumIds)
-      return "k-best row class id out of range";
-    if (I != 0 && Id <= PrevId)
-      return "k-best rows not strictly ascending";
-    PrevId = Id;
-    if (G.find(Id) != Id)
-      return "k-best row keyed by a non-canonical class";
-    const uint32_t NumCands = R.u32();
-    if (!R.ok() || NumCands == 0 || NumCands > K || !R.fits(NumCands, 12))
-      return "k-best candidate count out of range";
-    std::vector<CandRef> Cands;
-    Cands.reserve(NumCands);
-    for (uint32_t C = 0; C < NumCands; ++C) {
-      const double Cost = R.f64();
-      const uint32_t Ref = R.u32();
-      if (!R.ok() || std::isnan(Cost) || Ref >= PoolRow.size())
-        return "invalid k-best candidate";
-      Cands.push_back({Cost, PoolRow[Ref]});
-    }
-    Table.emplace(Id, std::move(Cands));
-  }
-  if (!R.ok() || !R.atEnd())
-    return "trailing bytes after k-best state";
-  SyncedGen = Gen;
-  G.updateDirtyLease(DirtyLease, SyncedGen);
-  return "";
 }
 
 //===----------------------------------------------------------------------===//

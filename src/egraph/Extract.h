@@ -44,7 +44,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 
 namespace shrinkray {
@@ -92,26 +91,6 @@ public:
 class Extractor {
 public:
   Extractor(const EGraph &G, const CostFn &Fn);
-
-  /// Restore-construction for the snapshot tier: binds an *empty* engine
-  /// to \p G without running a derivation. The engine is unusable until a
-  /// successful restoreState(); on restore failure it must be discarded.
-  struct RestoreTag {};
-  Extractor(RestoreTag, const EGraph &G, const CostFn &Fn);
-
-  /// Serializes the derived state (synced generation, per-class costs and
-  /// choice e-nodes) for the service snapshot tier. The blob is only
-  /// meaningful alongside the e-graph snapshot serialized at the same
-  /// generation — restoreState() enforces the pairing.
-  std::string saveState() const;
-
-  /// Loads state saved by saveState() into a RestoreTag-constructed
-  /// engine. Returns "" on success, a diagnostic otherwise (wrong
-  /// generation, malformed bytes, ids outside the bound graph) — never
-  /// asserts, so corrupt snapshot-tier blobs degrade to cache misses.
-  /// After success the engine behaves exactly like the one that was
-  /// saved: refresh() resumes incrementally from the stored generation.
-  std::string restoreState(std::string_view Bytes);
 
   /// Releases the engine's dirty-log lease (see below). The engine must
   /// not outlive the graph.
@@ -232,30 +211,14 @@ struct ExtractCandidate {
 /// the table is just (cost, row id) and row-id equality is structural
 /// equality of candidate programs. Recombination reads and produces row
 /// ids; rows are interned only at the commit of each wave, and real
-/// TermPtrs materialize only in extract()/saveState(). Row ids are
-/// allocated in wave-commit order — a pure function of the graph — so
-/// snapshot blobs, which store row ids, are reproducible.
+/// TermPtrs materialize only in extract(). Row ids are allocated in
+/// wave-commit order, a pure function of the graph.
 class KBestExtractor {
 public:
   /// The trailing thread count is ignored (the engine is serial); it is
   /// kept so existing four-argument callers still compile.
   KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
                  size_t /*IgnoredNumThreads*/ = 1);
-
-  /// Serializes the engine (one-best section plus the candidate table,
-  /// terms encoded once through a shared structure pool) for the service
-  /// snapshot tier. Restoring on the graph snapshot serialized at the
-  /// same generation reproduces the engine bit-for-bit — including
-  /// refresh() behavior, which is what lets a warm start refresh
-  /// incrementally instead of re-deriving the whole table.
-  std::string saveState() const;
-
-  /// Rebuilds an engine from saveState() bytes. \p K must match the
-  /// request (the stored K is validated). Returns nullptr and sets \p Err
-  /// on any validation failure.
-  static std::unique_ptr<KBestExtractor>
-  restore(const EGraph &G, const CostFn &Fn, size_t K,
-          std::string_view Bytes, std::string &Err);
 
   /// Releases the engine's dirty-log lease; see Extractor.
   ~KBestExtractor();
@@ -321,13 +284,9 @@ private:
     uint32_t RowPlus1 = 0;
   };
   std::vector<RowSlot> RowIndex;
-  /// Lazy row -> term materializations (extract()/saveState() only).
+  /// Lazy row -> term materializations (extract() only).
   /// Never invalidated: rows are immutable.
   mutable std::unordered_map<uint32_t, TermPtr> RowTerms;
-
-  KBestExtractor(Extractor::RestoreTag, const EGraph &G, const CostFn &Fn,
-                 size_t K);
-  std::string restoreState(std::string_view Bytes);
 
   void deriveFrom(const std::vector<EClassId> &Seeds);
 

@@ -2,11 +2,9 @@
 
 #include "egraph/Runner.h"
 
-#include "egraph/SnapshotCodec.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,24 +48,6 @@ RunnerReport Runner::run(EGraph &G, const std::vector<Rewrite> &Rules) const {
 }
 
 RunnerReport Runner::run(EGraph &G, const RuleSet &DB) const {
-  return runImpl(G, DB, nullptr, nullptr);
-}
-
-RunnerReport Runner::run(EGraph &G, const RuleSet &DB,
-                         RunnerCursors &CursorsOut) const {
-  return runImpl(G, DB, nullptr, &CursorsOut);
-}
-
-RunnerReport Runner::resume(EGraph &G, const RuleSet &DB,
-                            RunnerCursors &Cursors) const {
-  assert(Cursors.Rules.size() == DB.rules().size() &&
-         "resume cursors do not match the rule database");
-  return runImpl(G, DB, &Cursors, &Cursors);
-}
-
-RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
-                             const RunnerCursors *In,
-                             RunnerCursors *Out) const {
   const auto Start = Clock::now();
   auto elapsed = [&] { return secondsSince(Start); };
 
@@ -105,36 +85,10 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
   // searches (which re-baseline against the whole graph) and by bans.
   std::vector<size_t> WindowMerged(NumRules, 0);
 
-  // Resume: adopt the captured continuation state and continue the
-  // absolute iteration counter (bans store absolute indices; the applied
-  // memo is intentionally absent — see RunnerCursors). StartIter can reach
-  // or exceed IterLimit, in which case the loop body never runs and the
-  // run reports IterLimit with the graph untouched.
-  const size_t StartIter = In ? static_cast<size_t>(In->IterationsDone) : 0;
-  if (In)
-    for (size_t R = 0; R < NumRules; ++R) {
-      const RunnerCursors::RuleCursor &C = In->Rules[R];
-      BannedUntil[R] = static_cast<size_t>(C.BannedUntil);
-      BanLength[R] = static_cast<size_t>(C.BanLength);
-      LastSearchGen[R] = C.LastSearchGen;
-      EverSearched[R] = C.EverSearched ? 1 : 0;
-      WindowMerged[R] = static_cast<size_t>(C.WindowMerged);
-    }
-
-  // Every exit funnels through here so the final continuation state is
-  // captured exactly once, on the clean post-rebuild graph.
-  auto finish = [&](StopReason Stop, size_t IterationsDone) -> RunnerReport & {
+  auto finish = [&](StopReason Stop) {
     Report.Stop = Stop;
-    if (Out) {
-      Out->Generation = G.generation();
-      Out->IterationsDone = IterationsDone;
-      Out->Stop = Stop;
-      Out->Rules.resize(NumRules);
-      for (size_t R = 0; R < NumRules; ++R)
-        Out->Rules[R] = {BannedUntil[R], BanLength[R], LastSearchGen[R],
-                         WindowMerged[R], EverSearched[R] != 0};
-    }
-    return Report;
+    Report.Seconds = elapsed();
+    return std::move(Report);
   };
 
   const size_t Threads = resolveThreads(Limits.NumThreads);
@@ -150,14 +104,11 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
   std::vector<EClassId> Key;
 
   G.rebuild();
-  for (size_t Iter = StartIter; Iter < Limits.IterLimit; ++Iter) {
+  for (size_t Iter = 0; Iter < Limits.IterLimit; ++Iter) {
     // Cooperative cancellation, iteration-granular: stopping here leaves
-    // the graph clean and every cursor sound, so a cancelled run's graph
-    // can be resumed (or snapshotted) with no special cases.
-    if (Limits.Cancel.cancelled()) {
-      Report.Seconds = elapsed();
-      return finish(StopReason::Cancelled, Iter);
-    }
+    // the graph clean and every cursor sound.
+    if (Limits.Cancel.cancelled())
+      return finish(StopReason::Cancelled);
     const auto IterStart = Clock::now();
     IterationStats Stats;
     size_t NodesBefore = G.numNodes();
@@ -479,81 +430,13 @@ RunnerReport Runner::runImpl(EGraph &G, const RuleSet &DB,
           AnyBanned = true;
           break;
         }
-      if (!AnyBanned) {
-        Report.Seconds = elapsed();
-        return finish(StopReason::Saturated, Iter + 1);
-      }
+      if (!AnyBanned)
+        return finish(StopReason::Saturated);
     }
-    if (Stats.Nodes > Limits.NodeLimit) {
-      Report.Seconds = elapsed();
-      return finish(StopReason::NodeLimit, Iter + 1);
-    }
-    if (elapsed() > Limits.TimeLimitSec) {
-      Report.Seconds = elapsed();
-      return finish(StopReason::TimeLimit, Iter + 1);
-    }
+    if (Stats.Nodes > Limits.NodeLimit)
+      return finish(StopReason::NodeLimit);
+    if (elapsed() > Limits.TimeLimitSec)
+      return finish(StopReason::TimeLimit);
   }
-  Report.Seconds = elapsed();
-  return finish(StopReason::IterLimit, std::max(StartIter, Limits.IterLimit));
-}
-
-//===----------------------------------------------------------------------===//
-// Cursor serialization (snapshot tier)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr uint32_t CursorFormatVersion = 1;
-
-} // namespace
-
-std::string shrinkray::serializeRunnerCursors(const RunnerCursors &C) {
-  snapcodec::Writer W;
-  W.u32(CursorFormatVersion);
-  W.u8(static_cast<uint8_t>(C.Stop));
-  W.u64(C.Generation);
-  W.u64(C.IterationsDone);
-  W.u32(static_cast<uint32_t>(C.Rules.size()));
-  for (const RunnerCursors::RuleCursor &R : C.Rules) {
-    W.u64(R.BannedUntil);
-    W.u64(R.BanLength);
-    W.u64(R.LastSearchGen);
-    W.u64(R.WindowMerged);
-    W.u8(R.EverSearched ? 1 : 0);
-  }
-  return W.take();
-}
-
-std::string shrinkray::deserializeRunnerCursors(std::string_view Bytes,
-                                                RunnerCursors &Out) {
-  std::string Copy(Bytes);
-  snapcodec::Reader R(std::move(Copy));
-  if (R.u32() != CursorFormatVersion || !R.ok())
-    return "unsupported runner-cursor format version";
-  const uint8_t Stop = R.u8();
-  if (!R.ok() || Stop > static_cast<uint8_t>(StopReason::Cancelled))
-    return "invalid stop reason in runner cursors";
-  Out.Stop = static_cast<StopReason>(Stop);
-  Out.Generation = R.u64();
-  Out.IterationsDone = R.u64();
-  const uint32_t NumRules = R.u32();
-  // Each rule cursor is 4 u64s + 1 u8.
-  if (!R.ok() || !R.fits(NumRules, 33))
-    return "truncated runner cursors";
-  Out.Rules.clear();
-  Out.Rules.reserve(NumRules);
-  for (uint32_t I = 0; I < NumRules; ++I) {
-    RunnerCursors::RuleCursor C;
-    C.BannedUntil = R.u64();
-    C.BanLength = R.u64();
-    C.LastSearchGen = R.u64();
-    C.WindowMerged = R.u64();
-    C.EverSearched = R.u8() != 0;
-    if (C.LastSearchGen > Out.Generation)
-      return "runner cursor beyond captured generation";
-    Out.Rules.push_back(C);
-  }
-  if (!R.ok() || !R.atEnd())
-    return "trailing bytes after runner cursors";
-  return "";
+  return finish(StopReason::IterLimit);
 }

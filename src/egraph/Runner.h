@@ -50,7 +50,6 @@
 #include "egraph/RuleSet.h"
 #include "support/Cancel.h"
 
-#include <string_view>
 #include <vector>
 
 namespace shrinkray {
@@ -82,9 +81,8 @@ struct RunnerLimits {
   size_t NumThreads = 0;
   /// Cooperative cancellation (service jobs, deadlines). Checked at
   /// saturation-iteration boundaries — never mid-iteration, so a run that
-  /// observes cancellation stops on a clean, rebuilt graph with all rule
-  /// cursors sound, and continuing the same graph later stays
-  /// bit-identical to an uninterrupted run. Default-constructed tokens
+  /// observes cancellation stops on a clean, rebuilt graph.
+  /// Default-constructed tokens
   /// are inert (one null check per iteration). The explicit {} keeps
   /// designated-initializer users (RunnerLimits{.IterLimit = ...})
   /// clean under -Wmissing-field-initializers.
@@ -125,45 +123,6 @@ struct RuleStats {
   size_t Bans = 0;                ///< backoff bans (either trigger)
 };
 
-/// The continuation state of a saturation run: everything `run` keeps
-/// outside the e-graph itself. A run captured at an iteration boundary can
-/// be resumed later — on the same (restored) graph, against the same rule
-/// database, under the same saturation-shaping limits — and the resumed
-/// run is bit-identical to the uninterrupted one: the graph evolves through
-/// the same mutation sequence, so class ids, node orders, dirty log, and
-/// therefore extraction all agree. The applied-match memo is deliberately
-/// *not* part of the state: a re-found match whose merge already happened
-/// re-applies as a no-change merge (its right-hand side hash-conses to
-/// existing nodes), which does not perturb the graph — the memo is a cost
-/// optimization, not semantics.
-///
-/// `BannedUntil` values are absolute iteration indices, which is why
-/// `IterationsDone` is part of the state: resume continues the iteration
-/// counter rather than restarting it, so pending bans expire exactly when
-/// they would have.
-struct RunnerCursors {
-  struct RuleCursor {
-    uint64_t BannedUntil = 0;   ///< absolute iteration the ban ends before
-    uint64_t BanLength = 0;     ///< current (doubling) ban length
-    uint64_t LastSearchGen = 0; ///< cursor of the last applied search
-    uint64_t WindowMerged = 0;  ///< merges in the current incremental streak
-    bool EverSearched = false;  ///< false => next search is full
-  };
-  uint64_t Generation = 0;     ///< graph generation at capture
-  uint64_t IterationsDone = 0; ///< absolute iterations consumed so far
-  StopReason Stop = StopReason::Saturated; ///< why the captured run stopped
-  std::vector<RuleCursor> Rules; ///< one per rule, in database order
-};
-
-/// Serializes \p C to the snapshot-tier wire format (SnapshotCodec).
-std::string serializeRunnerCursors(const RunnerCursors &C);
-
-/// Decodes \p Bytes into \p Out. Returns "" on success, a diagnostic on
-/// malformed input — never asserts, so corrupt snapshot-tier blobs degrade
-/// to cache misses.
-std::string deserializeRunnerCursors(std::string_view Bytes,
-                                     RunnerCursors &Out);
-
 /// Result of a saturation run.
 struct RunnerReport {
   StopReason Stop = StopReason::Saturated;
@@ -193,27 +152,7 @@ public:
   /// should compile a RuleSet once and use the overload above.
   RunnerReport run(EGraph &G, const std::vector<Rewrite> &Rules) const;
 
-  /// Like run(), but also exports the final continuation state into
-  /// \p CursorsOut (the warm-start capture path). Exporting is pure
-  /// bookkeeping: the run itself is unchanged.
-  RunnerReport run(EGraph &G, const RuleSet &Rules,
-                   RunnerCursors &CursorsOut) const;
-
-  /// Resumes a previously captured run: per-rule backoff and search-cursor
-  /// state come from \p Cursors and the iteration counter continues at
-  /// Cursors.IterationsDone (so IterLimit is an *absolute* budget across
-  /// the original run plus the resume, and pending bans expire on
-  /// schedule). \p Cursors is updated in place to the new final state.
-  /// Requires Cursors.Rules.size() == Rules.rules().size(); the caller
-  /// validates blob-derived cursors against the database before calling.
-  /// The report covers only the resumed segment.
-  RunnerReport resume(EGraph &G, const RuleSet &Rules,
-                      RunnerCursors &Cursors) const;
-
 private:
-  RunnerReport runImpl(EGraph &G, const RuleSet &Rules,
-                       const RunnerCursors *In, RunnerCursors *Out) const;
-
   RunnerLimits Limits;
 };
 

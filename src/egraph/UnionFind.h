@@ -70,17 +70,10 @@ public:
   }
 
   /// Raw parent slot of \p Id, possibly non-canonical and uncompressed.
-  /// Snapshot serialization stores these verbatim so a restored forest is
-  /// bit-identical, not merely equivalent up to path compression.
   EClassId rawParent(EClassId Id) const {
     assert(Id < Parents.size() && "id out of range");
     return Parents[Id];
   }
-
-  /// Replaces the whole forest with \p Raw (snapshot restore). The caller
-  /// has validated that every slot is in range and every chain reaches a
-  /// root — see EGraph::deserialize.
-  void restoreRaw(std::vector<EClassId> Raw) { Parents = std::move(Raw); }
 
 private:
   // mutable: find() compresses paths but is logically const.

@@ -17,6 +17,16 @@ using namespace shrinkray::scad;
 
 namespace {
 
+/// Longest range literal a source may spell. A few bytes of range can name
+/// billions of elements (or, with a step below the start's ulp, never
+/// reach the end), so longer ones fail with a diagnostic.
+constexpr size_t kMaxRangeLength = size_t(1) << 20;
+
+/// Source bytes loop unrolling may re-parse in one parse: every iteration
+/// replays its body, so nested loops multiply a short source into
+/// unbounded work. Past the budget the parse fails with a diagnostic.
+constexpr size_t kUnrollBudgetBytes = size_t(1) << 22;
+
 //===----------------------------------------------------------------------===//
 // Lexer
 //===----------------------------------------------------------------------===//
@@ -184,6 +194,7 @@ private:
   int ExternalCount = 0;
 
   size_t Depth = 0; ///< statements + expressions enclosing the parse point
+  size_t UnrollBudget = kUnrollBudgetBytes; ///< source bytes left to replay
 
   /// Counts one nesting level for its scope. Statements and expressions
   /// recurse once per level, so a source nested past kMaxSourceDepth
@@ -293,14 +304,22 @@ private:
         else if (Lex.atPunct(':')) {
           // A range literal [start : end] or [start : step : end].
           Lex.take();
-          std::optional<ScadValue> B = parseExpr();
-          if (!B || B->K != ScadValue::Kind::Num)
+          auto rangeBound = [&]() -> std::optional<ScadValue> {
+            std::optional<ScadValue> V = parseExpr();
+            if (V && V->K != ScadValue::Kind::Num) {
+              fail("range bounds must be numbers");
+              return std::nullopt;
+            }
+            return V;
+          };
+          std::optional<ScadValue> B = rangeBound();
+          if (!B)
             return std::nullopt;
           double Step = 1.0, End;
           if (Lex.atPunct(':')) {
             Lex.take();
-            std::optional<ScadValue> C = parseExpr();
-            if (!C || C->K != ScadValue::Kind::Num)
+            std::optional<ScadValue> C = rangeBound();
+            if (!C)
               return std::nullopt;
             Step = B->Num;
             End = C->Num;
@@ -311,8 +330,14 @@ private:
             return std::nullopt;
           std::vector<double> Range;
           if (Step > 0)
-            for (double X = Elems[0]; X <= End + 1e-9; X += Step)
+            for (double X = Elems[0]; X <= End + 1e-9; X += Step) {
+              if (Range.size() == kMaxRangeLength) {
+                fail("range longer than " + std::to_string(kMaxRangeLength) +
+                     " elements");
+                return std::nullopt;
+              }
               Range.push_back(X);
+            }
           return ScadValue::vec(std::move(Range));
         }
       }
@@ -553,6 +578,15 @@ private:
       Vars[Var] = ScadValue::number(X);
       if (!parseChildren(Out))
         return false;
+      // Out's solids end up in one Union spine at least as deep as their
+      // count, which run() would reject anyway: stop unrolling now.
+      if (Out.size() > kMaxSourceDepth)
+        return failTooDeep();
+      const size_t Replayed = Lex.peek().Offset - BodyStart.peek().Offset + 1;
+      if (Replayed > UnrollBudget)
+        return fail("loop unrolling re-parses more than " +
+                    std::to_string(kUnrollBudgetBytes) + " bytes");
+      UnrollBudget -= Replayed;
     }
     if (Iter->Vec.empty()) { // still must consume the body
       Lex = BodyStart;

@@ -19,6 +19,11 @@
 ///   name = expr;  assignments, arithmetic with + - * / and sin/cos
 ///   // and /* */ comments
 ///
+/// Untrusted sources stay bounded: a range literal holds at most 2^20
+/// elements, unrolling re-parses at most 4 MiB of loop bodies per parse,
+/// and a loop stops once its block holds more than kMaxSourceDepth
+/// solids; past any of these the parse fails with a diagnostic.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHRINKRAY_SCAD_SCADPARSER_H

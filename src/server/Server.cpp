@@ -269,12 +269,6 @@ JsonValue Server::statsJson() {
   Cache.set("disk_hits", JsonValue::number(static_cast<double>(CS.DiskHits)));
   Cache.set("misses", JsonValue::number(static_cast<double>(CS.Misses)));
   Cache.set("stores", JsonValue::number(static_cast<double>(CS.Stores)));
-  Cache.set("snapshot_hits",
-            JsonValue::number(static_cast<double>(CS.SnapshotHits)));
-  Cache.set("snapshot_misses",
-            JsonValue::number(static_cast<double>(CS.SnapshotMisses)));
-  Cache.set("snapshot_stores",
-            JsonValue::number(static_cast<double>(CS.SnapshotStores)));
   O.set("cache", std::move(Cache));
 
   JsonValue Clients = JsonValue::array();

@@ -24,7 +24,6 @@
 #include "service/ResultCache.h"
 
 #include "cad/Sexp.h"
-#include "egraph/SnapshotCodec.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
@@ -56,52 +55,6 @@ std::string hex16(uint64_t V) {
 
 std::string CacheKey::hex() const {
   return hex16(InputHash) + hex16(RulesFp) + hex16(OptionsFp);
-}
-
-namespace {
-
-/// Accumulates a value-level fingerprint of \p T with numeric leaf
-/// *values* erased (each hashes as the bare shared tag): the
-/// structureTermFingerprint variant. Symbols contribute their spellings
-/// and the stream is length-/count-prefixed, mirroring the per-field
-/// scheme behind termValueHash (which exactTermFingerprint reuses
-/// directly — it is precomputed per node and already process-stable).
-void structureFingerprintRec(const Term &T, Fnv1a &F) {
-  const Op &O = T.op();
-  switch (O.kind()) {
-  case OpKind::Int:
-  case OpKind::Float:
-    F.u64(uint64_t(1) << 32); // shared numeric tag; value erased
-    break;
-  case OpKind::Var:
-  case OpKind::External:
-  case OpKind::PatVar:
-    F.u64(static_cast<uint64_t>(O.kind()));
-    F.str(O.symbol().str());
-    break;
-  case OpKind::OpRef:
-    F.u64(static_cast<uint64_t>(O.kind()));
-    F.u64(static_cast<uint64_t>(O.referencedOp()));
-    break;
-  default:
-    F.u64(static_cast<uint64_t>(O.kind()));
-    break;
-  }
-  F.u64(T.numChildren());
-  for (const TermPtr &Kid : T.children())
-    structureFingerprintRec(*Kid, F);
-}
-
-} // namespace
-
-uint64_t service::exactTermFingerprint(const TermPtr &T) {
-  return T->valueHash();
-}
-
-uint64_t service::structureTermFingerprint(const TermPtr &T) {
-  Fnv1a F;
-  structureFingerprintRec(*T, F);
-  return F.hash();
 }
 
 uint64_t service::ruleDatabaseFingerprint(const std::vector<Rewrite> &Rules) {
@@ -138,111 +91,10 @@ uint64_t service::optionsFingerprint(const SynthesisOptions &Opts) {
 CacheKey service::makeCacheKey(const TermPtr &FlatInput, uint64_t RulesFp,
                                const SynthesisOptions &Opts) {
   CacheKey Key;
-  Key.InputHash = exactTermFingerprint(FlatInput);
+  Key.InputHash = FlatInput->valueHash();
   Key.RulesFp = RulesFp;
   Key.OptionsFp = optionsFingerprint(Opts);
   return Key;
-}
-
-uint64_t service::snapshotOptionsFingerprint(const SynthesisOptions &Opts) {
-  Fnv1a F;
-  F.u64(1); // snapshot-options-fingerprint schema version
-  F.u64(Opts.Limits.NodeLimit)
-      .u64(Opts.Limits.MatchLimit)
-      .u64(Opts.Limits.BanLengthIters);
-  return F.hash();
-}
-
-CacheKey service::makeSnapshotKey(const TermPtr &FlatInput, uint64_t RulesFp,
-                                  const SynthesisOptions &Opts) {
-  CacheKey Key;
-  Key.InputHash = structureTermFingerprint(FlatInput);
-  Key.RulesFp = RulesFp;
-  Key.OptionsFp = snapshotOptionsFingerprint(Opts);
-  return Key;
-}
-
-//===----------------------------------------------------------------------===//
-// Snapshot entry envelope
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Magic of an encoded snapshot entry; the trailing digit is the envelope
-/// format version (a mismatch is "unsupported", not "corrupt").
-constexpr char SnapshotEntryMagic[8] = {'S', 'R', 'A', 'Y', 'S', 'N', 'E', '1'};
-constexpr uint32_t SnapshotEntryVersion = 1;
-
-} // namespace
-
-std::string service::encodeSnapshotEntry(const SnapshotEntry &E) {
-  snapcodec::Writer W;
-  W.u32(SnapshotEntryVersion);
-  W.u64(E.InputHash);
-  W.u8(static_cast<uint8_t>(E.Cost));
-  W.u64(E.TopK);
-  W.u8(static_cast<uint8_t>(E.Stop));
-  W.u64(E.IterationsDone);
-  W.str(E.InputSexp);
-  W.str(E.Cursors);
-  W.str(E.Extract);
-  W.str(E.Graph);
-  const std::string Payload = W.take();
-
-  std::string Out(SnapshotEntryMagic, sizeof SnapshotEntryMagic);
-  snapcodec::Writer Header;
-  Header.u64(Payload.size());
-  Header.u64(snapcodec::fnv1a(Payload));
-  Out += Header.bytes();
-  Out += Payload;
-  return Out;
-}
-
-std::string service::decodeSnapshotEntry(std::string_view Bytes,
-                                         SnapshotEntry &Out) {
-  constexpr size_t HeaderSize = sizeof SnapshotEntryMagic + 16;
-  if (Bytes.size() < HeaderSize)
-    return "snapshot entry truncated before the header";
-  if (std::memcmp(Bytes.data(), SnapshotEntryMagic,
-                  sizeof SnapshotEntryMagic - 1) != 0)
-    return "not a snapshot entry (bad magic)";
-  if (Bytes[sizeof SnapshotEntryMagic - 1] !=
-      SnapshotEntryMagic[sizeof SnapshotEntryMagic - 1])
-    return "unsupported snapshot entry format version";
-  snapcodec::Reader Header(
-      std::string(Bytes.substr(sizeof SnapshotEntryMagic, 16)));
-  const uint64_t Len = Header.u64();
-  const uint64_t Sum = Header.u64();
-  std::string_view Payload = Bytes.substr(HeaderSize);
-  if (Len != Payload.size())
-    return "snapshot entry length mismatch";
-  // One checksum over the whole payload: any bit flip anywhere — the
-  // envelope fields, the inner blobs, their own checksums — fails here,
-  // before any inner decoder sees the bytes.
-  if (snapcodec::fnv1a(Payload) != Sum)
-    return "snapshot entry checksum mismatch";
-
-  snapcodec::Reader R{std::string(Payload)};
-  if (R.u32() != SnapshotEntryVersion || !R.ok())
-    return "unsupported snapshot entry payload version";
-  Out.InputHash = R.u64();
-  const uint8_t Cost = R.u8();
-  Out.TopK = R.u64();
-  const uint8_t Stop = R.u8();
-  Out.IterationsDone = R.u64();
-  Out.InputSexp = R.str();
-  Out.Cursors = R.str();
-  Out.Extract = R.str();
-  Out.Graph = R.str();
-  if (!R.ok() || !R.atEnd())
-    return "snapshot entry payload truncated";
-  if (Cost > static_cast<uint8_t>(CostKind::RewardLoops))
-    return "snapshot entry cost kind out of range";
-  if (Stop > static_cast<uint8_t>(StopReason::Cancelled))
-    return "snapshot entry stop reason out of range";
-  Out.Cost = static_cast<CostKind>(Cost);
-  Out.Stop = static_cast<StopReason>(Stop);
-  return "";
 }
 
 ResultCache::ResultCache(std::string Dir)
@@ -268,29 +120,8 @@ void ResultCache::insertMemLocked(const std::string &Hex,
   }
 }
 
-void ResultCache::insertSnapMemLocked(const std::string &Hex,
-                                      const std::string &Blob) {
-  auto It = SnapMem.find(Hex);
-  if (It != SnapMem.end()) {
-    It->second->second = Blob;
-    SnapMemList.splice(SnapMemList.begin(), SnapMemList, It->second);
-    return;
-  }
-  SnapMemList.emplace_front(Hex, Blob);
-  SnapMem[Hex] = SnapMemList.begin();
-  while (Lim.MaxMemSnapshots != 0 && SnapMem.size() > Lim.MaxMemSnapshots) {
-    SnapMem.erase(SnapMemList.back().first);
-    SnapMemList.pop_back();
-    ++St.SnapshotMemEvictions;
-  }
-}
-
 std::string ResultCache::pathFor(const CacheKey &Key) const {
   return Dir + "/" + Key.hex() + ".srres";
-}
-
-std::string ResultCache::snapshotPathFor(const CacheKey &Key) const {
-  return Dir + "/" + Key.hex() + ".srsnap";
 }
 
 namespace {
@@ -398,13 +229,11 @@ void ResultCache::store(const CacheKey &Key,
     std::memcpy(&CostBits, &P.Cost, sizeof CostBits);
     Os << hex16(CostBits) << " " << printSexp(P.T) << "\n";
   }
-  writeFile(pathFor(Key), Os.str(), Sweep);
-}
+  const std::string Bytes = Os.str();
 
-void ResultCache::writeFile(const std::string &Path, const std::string &Bytes,
-                            bool Sweep) {
   // File write outside the lock (see lookup): the tmp-name + rename
   // protocol already tolerates concurrent writers of the same key.
+  const std::string Path = pathFor(Key);
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);
   if (Ec)
@@ -441,76 +270,6 @@ void ResultCache::writeFile(const std::string &Path, const std::string &Bytes,
     sweepDisk();
 }
 
-std::optional<SnapshotEntry> ResultCache::lookupSnapshot(const CacheKey &Key) {
-  const std::string Hex = Key.hex();
-  std::string Blob;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = SnapMem.find(Hex);
-    if (It != SnapMem.end()) {
-      SnapMemList.splice(SnapMemList.begin(), SnapMemList, It->second);
-      Blob = It->second->second;
-    } else if (Dir.empty()) {
-      ++St.SnapshotMisses;
-      return std::nullopt;
-    }
-  }
-
-  bool FromDisk = false;
-  if (Blob.empty()) {
-    // Disk probe outside the lock, as in lookup().
-    std::ifstream In(snapshotPathFor(Key), std::ios::binary);
-    if (In) {
-      std::ostringstream Os;
-      Os << In.rdbuf();
-      Blob = std::move(Os).str();
-      FromDisk = In.good() || In.eof();
-    }
-    if (!FromDisk || Blob.empty()) {
-      std::lock_guard<std::mutex> Lock(M);
-      ++St.SnapshotMisses;
-      return std::nullopt;
-    }
-  }
-
-  // Decode outside the lock too — entries are megabytes. Memory-tier
-  // blobs re-decode on every hit, which keeps one validation path for
-  // both tiers (and is cheap next to the synthesis it saves).
-  SnapshotEntry E;
-  const std::string Err = decodeSnapshotEntry(Blob, E);
-  std::lock_guard<std::mutex> Lock(M);
-  if (!Err.empty()) {
-    // A corrupt blob is a miss, not an error: warm starts are an
-    // optimization, and the cold pipeline is always available.
-    ++St.SnapshotMisses;
-    return std::nullopt;
-  }
-  ++St.SnapshotHits;
-  if (FromDisk)
-    insertSnapMemLocked(Hex, Blob);
-  return E;
-}
-
-void ResultCache::storeSnapshot(const CacheKey &Key, const SnapshotEntry &E) {
-  const std::string Hex = Key.hex();
-  const std::string Blob = encodeSnapshotEntry(E);
-  bool Sweep = false;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    ++St.SnapshotStores;
-    insertSnapMemLocked(Hex, Blob);
-    // Snapshot stores advance the same amortized sweep counter as result
-    // stores: a snapshot-only workload must still hit its disk budgets.
-    if (!Dir.empty() && (Lim.MaxDiskBytes != 0 || Lim.MaxAgeSec != 0.0))
-      Sweep = ++StoresSinceSweep >= 16;
-    if (Sweep)
-      StoresSinceSweep = 0;
-  }
-  if (Dir.empty())
-    return;
-  writeFile(snapshotPathFor(Key), Blob, Sweep);
-}
-
 void ResultCache::sweepDisk() {
   if (Dir.empty() || (Lim.MaxDiskBytes == 0 && Lim.MaxAgeSec == 0.0))
     return;
@@ -521,7 +280,6 @@ void ResultCache::sweepDisk() {
     fs::file_time_type Written;
     uintmax_t Bytes = 0;
     bool IsTmp = false;
-    bool IsSnapshot = false;
   };
   std::vector<DiskEntry> Entries;
   uintmax_t TotalBytes = 0;
@@ -532,13 +290,8 @@ void ResultCache::sweepDisk() {
     const std::string Name = P.filename().string();
     DiskEntry E;
     E.Path = P;
-    // Both tiers share the budgets: a megabyte-scale snapshot tier that
-    // escaped the sweep would render MaxDiskBytes meaningless, and its
-    // crashed writers would leak tmp orphans forever.
-    E.IsSnapshot = Name.find(".srsnap") != std::string::npos;
-    E.IsTmp = Name.find(".srres.tmp.") != std::string::npos ||
-              Name.find(".srsnap.tmp.") != std::string::npos;
-    if (!E.IsTmp && P.extension() != ".srres" && P.extension() != ".srsnap")
+    E.IsTmp = Name.find(".srres.tmp.") != std::string::npos;
+    if (!E.IsTmp && P.extension() != ".srres")
       continue; // never touch files the cache did not write
     std::error_code St1, St2;
     E.Written = fs::last_write_time(P, St1);
@@ -560,7 +313,7 @@ void ResultCache::sweepDisk() {
               return A.Written < B.Written;
             });
 
-  size_t Removed = 0, SnapRemoved = 0;
+  size_t Removed = 0;
   for (const DiskEntry &E : Entries) {
     const bool Expired = Lim.MaxAgeSec != 0.0 && ageSec(E) > Lim.MaxAgeSec;
     const bool OverBudget =
@@ -574,13 +327,12 @@ void ResultCache::sweepDisk() {
       continue; // concurrent writer won the race; its entry is current
     if (!E.IsTmp) {
       TotalBytes -= E.Bytes;
-      ++(E.IsSnapshot ? SnapRemoved : Removed);
+      ++Removed;
     }
   }
-  if (Removed != 0 || SnapRemoved != 0) {
+  if (Removed != 0) {
     std::lock_guard<std::mutex> Lock(M);
     St.DiskEvictions += Removed;
-    St.SnapshotDiskEvictions += SnapRemoved;
   }
 }
 

@@ -78,59 +78,6 @@ uint64_t optionsFingerprint(const SynthesisOptions &Opts);
 CacheKey makeCacheKey(const TermPtr &FlatInput, uint64_t RulesFp,
                       const SynthesisOptions &Opts);
 
-/// Process-stable, value-level fingerprint of \p T (the InputHash of
-/// makeCacheKey, exposed for the snapshot tier's exact-input comparison).
-uint64_t exactTermFingerprint(const TermPtr &T);
-
-/// Like exactTermFingerprint, but every numeric literal hashes as one
-/// generic "number here" token: two models that differ only in numeric
-/// leaf *values* collide on purpose. This is the snapshot tier's input
-/// dimension — a localized parameter edit lands on the captured model's
-/// snapshot, which is exactly the near-miss warm starts accelerate.
-uint64_t structureTermFingerprint(const TermPtr &T);
-
-/// Fingerprint of the SynthesisOptions knobs that shape the *saturation
-/// mutation sequence* — NodeLimit, MatchLimit, BanLengthIters — and
-/// nothing else. Deliberately narrower than optionsFingerprint: fuel
-/// (IterLimit) is resumable, and the cost function / top-k / solver knobs
-/// only affect phases a warm start re-runs anyway. That split is what
-/// lets a deeper-fuel or different-cost request hit a snapshot its exact
-/// result key would miss.
-uint64_t snapshotOptionsFingerprint(const SynthesisOptions &Opts);
-
-/// Assembles the snapshot-tier key for \p FlatInput under \p Opts:
-/// structure fingerprint + rule fingerprint + saturation-shaping options
-/// fingerprint, reusing CacheKey's layout and hex spelling (snapshot
-/// files use the `.srsnap` extension, so the namespaces cannot collide).
-CacheKey makeSnapshotKey(const TermPtr &FlatInput, uint64_t RulesFp,
-                         const SynthesisOptions &Opts);
-
-/// One snapshot-tier entry: the pipeline state a successful run captured
-/// (SynthesisResult::Snapshot) plus what a later request needs to decide
-/// whether — and how — it can warm-start from it.
-struct SnapshotEntry {
-  uint64_t InputHash = 0;  ///< exactTermFingerprint of the captured input
-  std::string InputSexp;   ///< the captured input itself (edit diffing)
-  CostKind Cost = CostKind::AstSize; ///< cost fn the engine was derived under
-  uint64_t TopK = 0;                 ///< k the engine was derived with
-  StopReason Stop = StopReason::Saturated; ///< capture-time stop reason
-  uint64_t IterationsDone = 0;             ///< saturation fuel consumed
-  std::string Cursors; ///< serializeRunnerCursors bytes
-  std::string Extract; ///< KBestExtractor::saveState bytes
-  std::string Graph;   ///< EGraph::serialize bytes
-};
-
-/// Encodes \p E behind a magic + length + checksum envelope. One checksum
-/// covers the whole payload, so any bit flip or truncation anywhere in a
-/// stored entry degrades to a diagnostic decode failure — a cache miss —
-/// rather than reaching the (individually validated) inner decoders.
-std::string encodeSnapshotEntry(const SnapshotEntry &E);
-
-/// Decodes encodeSnapshotEntry bytes into \p Out. Returns "" on success,
-/// a diagnostic on any malformation (bad magic, unsupported version,
-/// checksum mismatch, truncation, out-of-range enums). Never asserts.
-std::string decodeSnapshotEntry(std::string_view Bytes, SnapshotEntry &Out);
-
 /// Thread-safe memory + optional-disk result cache.
 class ResultCache {
 public:
@@ -141,13 +88,6 @@ public:
     size_t Stores = 0;
     size_t MemEvictions = 0;  ///< memory entries dropped by the LRU cap
     size_t DiskEvictions = 0; ///< entry files deleted by the disk sweep
-    // Snapshot tier (lookupSnapshot/storeSnapshot); counted separately so
-    // the result tier's counters mean exactly what they always did.
-    size_t SnapshotHits = 0;
-    size_t SnapshotMisses = 0; ///< includes corrupt entries (diagnosed)
-    size_t SnapshotStores = 0;
-    size_t SnapshotMemEvictions = 0;
-    size_t SnapshotDiskEvictions = 0; ///< `.srsnap` files swept from disk
   };
 
   /// Retention budgets. Zero means unbounded — the cache then behaves
@@ -161,16 +101,9 @@ public:
     uintmax_t MaxDiskBytes = 0;
     /// Disk tier: entries (and orphaned `.tmp.` files from crashed
     /// writers) older than this many seconds are swept regardless of the
-    /// byte budget. Snapshot entry files (`.srsnap`) count against both
-    /// disk budgets exactly like result files — a snapshot blob is
-    /// megabytes where a result file is bytes, so a tier that escaped the
-    /// budgets would dwarf them.
+    /// byte budget. Files the cache did not write are never counted or
+    /// removed.
     double MaxAgeSec = 0.0;
-    /// Memory tier: max resident *snapshot* entries. Unlike the other
-    /// budgets this one defaults bounded — snapshot blobs are megabytes,
-    /// so an unbounded default would leak the working set of every model
-    /// a long-lived service touches. 0 = unbounded, as elsewhere.
-    size_t MaxMemSnapshots = 4;
   };
 
   /// \p Dir empty = memory-only; otherwise entries also persist as
@@ -194,26 +127,12 @@ public:
   /// Caches \p Programs under \p Key (memory, and disk when configured).
   void store(const CacheKey &Key, const std::vector<RankedTerm> &Programs);
 
-  /// The decoded snapshot entry for \p Key, or nullopt. Mirrors lookup():
-  /// memory tier first, then `<Dir>/<key>.srsnap`; a disk hit is promoted
-  /// into memory; any decode failure — including a corrupt or truncated
-  /// blob — is a miss.
-  std::optional<SnapshotEntry> lookupSnapshot(const CacheKey &Key);
-
-  /// Caches the encoded form of \p E under \p Key (memory, and disk when
-  /// configured). Counts toward the same amortized sweep schedule as
-  /// result stores.
-  void storeSnapshot(const CacheKey &Key, const SnapshotEntry &E);
-
   Stats stats() const;
 
   const std::string &dir() const { return Dir; }
 
 private:
   using MemEntry = std::pair<std::string, std::vector<RankedTerm>>;
-  /// Snapshot memory tier holds the *encoded* blob: lookups re-decode, so
-  /// memory and disk hits share one validation path.
-  using SnapMemEntry = std::pair<std::string, std::string>;
 
   std::string Dir;
   Limits Lim;
@@ -221,25 +140,15 @@ private:
   /// Memory tier: recency list (front = most recent) + key index into it.
   std::list<MemEntry> MemList;
   std::unordered_map<std::string, std::list<MemEntry>::iterator> Mem;
-  /// Snapshot memory tier, same recency scheme, separate budget.
-  std::list<SnapMemEntry> SnapMemList;
-  std::unordered_map<std::string, std::list<SnapMemEntry>::iterator> SnapMem;
   Stats St;
   size_t StoresSinceSweep = 0;
 
   std::string pathFor(const CacheKey &Key) const;
-  std::string snapshotPathFor(const CacheKey &Key) const;
 
   /// Inserts/refreshes \p Hex at the front of the recency list and
   /// applies the memory cap. Caller holds M.
   void insertMemLocked(const std::string &Hex,
                        const std::vector<RankedTerm> &Programs);
-  void insertSnapMemLocked(const std::string &Hex, const std::string &Blob);
-
-  /// Shared write-side of the disk tiers: tmp-name + atomic rename, then
-  /// the amortized sweep when \p Sweep is set.
-  void writeFile(const std::string &Path, const std::string &Bytes,
-                 bool Sweep);
 };
 
 } // namespace service

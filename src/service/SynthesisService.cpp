@@ -36,47 +36,6 @@ double secondsBetween(Clock::time_point A, Clock::time_point B) {
   return std::chrono::duration<double>(B - A).count();
 }
 
-/// Lockstep walk counting numeric-leaf value differences between the
-/// captured input \p A and the request input \p B. Returns false on any
-/// structural mismatch — everything except numeric leaf values (operator
-/// kinds, symbol spellings, arities) must agree. Int/Float respellings of
-/// one value are not an edit, matching the value-level input hash.
-bool countNumericEdits(const Term &A, const Term &B, size_t &Edits) {
-  const Op &OA = A.op();
-  const Op &OB = B.op();
-  const bool NumA = OA.kind() == OpKind::Int || OA.kind() == OpKind::Float;
-  const bool NumB = OB.kind() == OpKind::Int || OB.kind() == OpKind::Float;
-  if (NumA != NumB)
-    return false;
-  if (NumA) {
-    if (OA.numericValue() != OB.numericValue())
-      ++Edits;
-  } else {
-    if (OA.kind() != OB.kind())
-      return false;
-    switch (OA.kind()) {
-    case OpKind::Var:
-    case OpKind::External:
-    case OpKind::PatVar:
-      if (OA.symbol() != OB.symbol())
-        return false;
-      break;
-    case OpKind::OpRef:
-      if (OA.referencedOp() != OB.referencedOp())
-        return false;
-      break;
-    default:
-      break;
-    }
-  }
-  if (A.numChildren() != B.numChildren())
-    return false;
-  for (size_t I = 0; I < A.numChildren(); ++I)
-    if (!countNumericEdits(*A.child(I), *B.child(I), Edits))
-      return false;
-  return true;
-}
-
 } // namespace
 
 SynthesisService::SynthesisService(ServiceConfig Cfg)
@@ -370,66 +329,12 @@ void SynthesisService::runJob(Job &J, size_t ThreadBudget) {
     }
   }
 
-  // --- Warm-start planning (snapshot tier) -----------------------------
-  // A near-miss request — same saturation-shaping key, but deeper fuel, a
-  // different cost function, or a small numeric edit — restores the
-  // captured pipeline state instead of saturating from scratch. The
-  // Synthesizer validates everything again and falls back to cold on any
-  // mismatch, so planning here is best-effort.
-  const bool SnapshotTier = Cfg.EnableWarmStart && Opts.MainLoopIters == 1;
-  CacheKey SnapKey;
-  uint64_t ExactHash = 0;
-  WarmStart WS;
-  bool WarmPlanned = false;
-  if (SnapshotTier) {
-    SnapKey = makeSnapshotKey(Flat, RulesFp, Opts);
-    ExactHash = exactTermFingerprint(Flat);
-    if (std::optional<SnapshotEntry> Entry = Cache.lookupSnapshot(SnapKey)) {
-      const bool SameInput = Entry->InputHash == ExactHash;
-      // The request must not ask for less fuel than the capture consumed,
-      // and the capture must have stopped deterministically.
-      bool Usable = Opts.Limits.IterLimit >= Entry->IterationsDone &&
-                    (Entry->Stop == StopReason::Saturated ||
-                     Entry->Stop == StopReason::IterLimit ||
-                     Entry->Stop == StopReason::NodeLimit);
-      if (Usable && !SameInput) {
-        // An edit re-seeds new nodes into the restored graph; a
-        // *saturated* capture closes over them by resuming, and an
-        // iteration-limited one qualifies only with fuel to spare (the
-        // Synthesizer then demands a quiescent resumed tail). The edit
-        // must also be small and purely numeric — the structure key says
-        // it is, but keys hash and the walk is the proof.
-        size_t Edits = 0;
-        ParseResult Stored = parseSexp(Entry->InputSexp);
-        Usable = (Entry->Stop == StopReason::Saturated ||
-                  (Entry->Stop == StopReason::IterLimit &&
-                   Opts.Limits.IterLimit > Entry->IterationsDone)) &&
-                 Stored && countNumericEdits(*Stored.Value, *Flat, Edits) &&
-                 Edits >= 1 && Edits <= Cfg.WarmMaxEditedLeaves;
-      }
-      if (Usable) {
-        WS.Graph = std::move(Entry->Graph);
-        WS.Cursors = std::move(Entry->Cursors);
-        WS.Extract = std::move(Entry->Extract);
-        // The extraction engine only transfers when it was derived under
-        // this request's cost function and k; otherwise it is re-derived
-        // from the restored graph (identical result, just slower).
-        WS.ExtractUsable = Entry->Cost == Opts.Cost &&
-                           Entry->TopK == Opts.TopK && !WS.Extract.empty();
-        WS.SameInput = SameInput;
-        WarmPlanned = true;
-      }
-    }
-  }
-
   // --- Run the pipeline -------------------------------------------------
   if (J.Spec.DeadlineSec > 0.0)
     J.Token.armDeadline(J.Spec.DeadlineSec);
   Opts.Limits.Cancel = J.Token;
-  Opts.CaptureSnapshot = SnapshotTier;
 
-  Out.Result = WarmPlanned ? Synthesizer(Opts).synthesizeWarm(Flat, WS)
-                           : Synthesizer(Opts).synthesize(Flat);
+  Out.Result = Synthesizer(Opts).synthesize(Flat);
   if (Out.Result.Stats.Cancelled) {
     Out.St = JobOutcome::Status::Cancelled;
     return; // partial results are never cached
@@ -443,23 +348,4 @@ void SynthesisService::runJob(Job &J, size_t ThreadBudget) {
   // in (input, options) and stay cacheable.
   if (Cfg.EnableCache && !Out.Result.Stats.WallClockTruncated)
     Cache.store(Key, Out.Result.Programs);
-  // Park the warm-start capture in the snapshot tier. The Synthesizer
-  // skips capture for non-deterministic stops and for warm runs whose
-  // state equals the snapshot they restored, so Present already implies
-  // "new, deterministic state worth keeping".
-  if (SnapshotTier && Out.Result.Snapshot.Present &&
-      !Out.Result.Stats.WallClockTruncated) {
-    SnapshotEntry E;
-    E.InputHash = ExactHash;
-    E.InputSexp = printSexp(Flat);
-    E.Cost = Opts.Cost;
-    E.TopK = Opts.TopK;
-    E.Stop = Out.Result.Snapshot.Stop;
-    E.IterationsDone = Out.Result.Snapshot.IterationsDone;
-    E.Cursors = std::move(Out.Result.Snapshot.Cursors);
-    E.Extract = std::move(Out.Result.Snapshot.Extract);
-    E.Graph = std::move(Out.Result.Snapshot.Graph);
-    Out.Result.Snapshot.Present = false; // blobs moved out
-    Cache.storeSnapshot(SnapKey, E);
-  }
 }

@@ -70,16 +70,6 @@ struct ServiceConfig {
   /// forces that thread count on every job. Results are bit-identical at
   /// any setting, so this is purely a scheduling choice.
   size_t JobNumThreads = 0;
-  /// Master switch for the snapshot tier: successful single-round jobs
-  /// capture their post-saturation pipeline state, and near-miss requests
-  /// (same input with deeper fuel, a different cost function, or a small
-  /// numeric edit) restore it instead of saturating from scratch. Warm
-  /// results are identical to cold ones — this only changes wall clock.
-  bool EnableWarmStart = true;
-  /// Edit ceiling for the warm path: a request whose input differs from a
-  /// captured one in more than this many numeric leaf values runs cold (a
-  /// large edit invalidates most of the captured saturation anyway).
-  size_t WarmMaxEditedLeaves = 4;
   /// Admission bound on the FIFO queue, enforced by trySubmit() only:
   /// once this many jobs are queued (not yet picked up by a worker),
   /// trySubmit rejects instead of growing the queue. 0 = unbounded.

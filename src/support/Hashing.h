@@ -58,11 +58,10 @@ inline size_t hashDouble(double D) {
 }
 
 /// Incremental byte-wise FNV-1a accumulator over heterogeneous input —
-/// the one implementation behind snapshot checksums and the result
-/// cache's fingerprints. Stable across processes and platforms of the
-/// same endianness (the snapshot/cache formats are little-endian
-/// by construction). Not for hot per-node hashing: the e-graph tables
-/// use the word-wise combinators above.
+/// the one implementation behind the result cache's fingerprints. Stable
+/// across processes and platforms of the same endianness. Not for hot
+/// per-node hashing: the e-graph tables use the word-wise combinators
+/// above.
 class Fnv1a {
 public:
   Fnv1a &bytes(const void *P, size_t N) {

@@ -43,26 +43,6 @@ size_t SynthesisResult::structureRank() const {
 }
 
 SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
-  bool Aborted = false;
-  return synthesizeImpl(FlatCsg, nullptr, Aborted);
-}
-
-SynthesisResult Synthesizer::synthesizeWarm(const TermPtr &FlatCsg,
-                                            const WarmStart &W) const {
-  bool Aborted = false;
-  SynthesisResult Warm = synthesizeImpl(FlatCsg, &W, Aborted);
-  if (!Aborted)
-    return Warm;
-  // The warm attempt failed validation (or an edit resume did not close);
-  // the cold pipeline is always available and always right.
-  SynthesisResult Cold = synthesizeImpl(FlatCsg, nullptr, Aborted);
-  Cold.Stats.WarmStartAborted = true;
-  return Cold;
-}
-
-SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
-                                            const WarmStart *W,
-                                            bool &Aborted) const {
   assert(isFlatCsg(FlatCsg) && "synthesizer input must be flat CSG");
   using Clock = std::chrono::steady_clock;
   const auto Start = Clock::now();
@@ -92,91 +72,12 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   // The extraction engine lives across main-loop iterations: the first
   // round derives costs for the whole graph, every later round refreshes
   // incrementally from the generation-stamped dirty log, so re-extraction
-  // costs time proportional to what the round changed. A warm start may
-  // hand the engine back fully derived (restored below).
+  // costs time proportional to what the round changed.
   std::unique_ptr<KBestExtractor> Extraction;
-
-  // --- Warm-start restore ------------------------------------------------
-  // Bring the captured pipeline state back up *before* seeding the input:
-  // the engine restore validates its generation against the graph's, and
-  // its dirty-log lease must be registered before any further mutation so
-  // refresh() later sees the re-seeding delta. Every validation failure
-  // aborts to the cold pipeline (synthesizeWarm retries with W == null).
-  RunnerCursors Cursors;
-  const bool WarmEdited = W && !W->SameInput;
-  if (W) {
-    const auto RestoreStart = Clock::now();
-    Result.Stats.WarmStart = true;
-    Result.Stats.WarmStartEdit = WarmEdited;
-    // The capture point is specific to single-round pipelines; the service
-    // never offers snapshots to multi-round requests, but validate anyway.
-    if (Opts.MainLoopIters != 1) {
-      Aborted = true;
-      return Result;
-    }
-    std::istringstream GraphBytes(W->Graph);
-    if (!G.deserialize(GraphBytes).empty() ||
-        !deserializeRunnerCursors(W->Cursors, Cursors).empty()) {
-      Aborted = true;
-      return Result;
-    }
-    // The cursors must continue *this* graph under *this* rule database,
-    // the captured run must have stopped deterministically, and the
-    // request must not ask for less fuel than the capture consumed (the
-    // cold run would then have stopped earlier — unreproducible).
-    if (Cursors.Rules.size() != CompiledRules.numRules() ||
-        Cursors.Generation != G.generation() ||
-        Cursors.Stop == StopReason::TimeLimit ||
-        Cursors.Stop == StopReason::Cancelled ||
-        Opts.Limits.IterLimit < Cursors.IterationsDone ||
-        // An edit re-seeds new nodes into the graph. A *saturated* capture
-        // closes over them by resuming (provably cold-identical: the
-        // resumed run replays the mutations cold would perform past the
-        // fixpoint). An *iteration-limited* capture is accepted only with
-        // fuel to spare — the resume spends it closing over the edit, and
-        // the post-resume quiescence check below aborts unless the graph
-        // demonstrably stopped changing inside the budget. A node-limited
-        // capture never qualifies: cold would stop at the same node count
-        // but along a different mutation prefix.
-        (WarmEdited && Cursors.Stop != StopReason::Saturated &&
-         !(Cursors.Stop == StopReason::IterLimit &&
-           Opts.Limits.IterLimit > Cursors.IterationsDone))) {
-      Aborted = true;
-      return Result;
-    }
-    if (W->ExtractUsable) {
-      // A failed engine restore is not fatal: the engine is re-derived
-      // from the restored graph at the usual point (refresh-equals-scratch
-      // makes the result identical, the derivation just costs more).
-      std::string Err;
-      Extraction =
-          KBestExtractor::restore(G, costFn(Opts.Cost), Opts.TopK,
-                                  W->Extract, Err);
-    }
-    Result.Stats.WarmSkippedIters = Cursors.IterationsDone;
-    Result.Stats.WarmRestoreSeconds =
-        std::chrono::duration<double>(Clock::now() - RestoreStart).count();
-  }
 
   EClassId Root = G.addTerm(Input);
   G.rebuild();
 
-  // Whether re-seeding the input actually changed the restored graph. A
-  // same-input re-seed replays hash-cons hits end to end (no new nodes, no
-  // merges), so any change contradicts the caller's input-hash match.
-  const bool WarmChanged = W && G.generation() != Cursors.Generation;
-  if (W && !WarmEdited && WarmChanged) {
-    Aborted = true;
-    return Result;
-  }
-  // Resume saturation only when there is something left to do: an edit
-  // whose new nodes un-saturated the graph, or a deeper-fuel request on a
-  // capture that stopped on the iteration limit. (A saturated same-input
-  // capture stays saturated; a node-limit capture stops again immediately
-  // in a cold run, so resuming would overshoot it.)
-  const bool WarmResume =
-      W && (WarmChanged || (Cursors.Stop == StopReason::IterLimit &&
-                            Opts.Limits.IterLimit > Cursors.IterationsDone));
   // The job's cancellation token is shared with the solver pipeline so a
   // deadline firing mid-solve stops fitting work between stages and inside
   // the trig frequency scan (previously the one uncancellable span).
@@ -215,43 +116,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   for (unsigned Iter = 0; Iter < Opts.MainLoopIters && !cancelled(); ++Iter) {
     // --- Syntactic rewrites (Fig. 5 line 4) -----------------------------
     const auto RewriteStart = Clock::now();
-    if (W && Iter == 0) {
-      if (WarmResume) {
-        Result.Stats.Rewriting =
-            SaturationRunner.resume(G, CompiledRules, Cursors);
-        Result.Stats.WarmResumedIters =
-            Result.Stats.Rewriting.numIterations();
-        // An edit resume must demonstrably close over the re-seeded
-        // nodes: a saturation stop proves it outright; an iteration-limit
-        // stop qualifies only when the final resumed iteration applied
-        // nothing (a quiescent tail — the graph stopped changing with
-        // fuel left on the wall, the fuel-bounded analogue of a fixpoint,
-        // which is what non-saturating models like nintendo-slot reach
-        // once their explosive rules are perpetually banned). Anything
-        // else — fuel wall mid-closure, node limit — cannot be matched
-        // against a cold run; hand the job back to the cold pipeline. A
-        // cancellation is the one exception: partial results are partial
-        // either way.
-        const RunnerReport &Resumed = Result.Stats.Rewriting;
-        const bool QuiescentTail =
-            Resumed.Stop == StopReason::IterLimit &&
-            !Resumed.Iterations.empty() &&
-            Resumed.Iterations.back().Applied == 0;
-        if (WarmEdited && Resumed.Stop != StopReason::Saturated &&
-            Resumed.Stop != StopReason::Cancelled && !QuiescentTail) {
-          Aborted = true;
-          return Result;
-        }
-      } else {
-        // The captured run already finished this round's saturation; its
-        // stop reason stands in for the report.
-        Result.Stats.Rewriting.Stop = Cursors.Stop;
-      }
-    } else {
-      // Exporting cursors is pure bookkeeping (the run is unchanged); they
-      // feed the pre-solve snapshot capture below.
-      Result.Stats.Rewriting = SaturationRunner.run(G, CompiledRules, Cursors);
-    }
+    Result.Stats.Rewriting = SaturationRunner.run(G, CompiledRules);
     if (Result.Stats.Rewriting.Stop == StopReason::TimeLimit)
       Result.Stats.WallClockTruncated = true;
     Result.Stats.RewriteSeconds +=
@@ -262,56 +127,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     if (cancelled())
       break;
 
-    // --- Warm-start capture (pre-solve) ---------------------------------
-    // The snapshot freezes the pipeline right here: saturated graph,
-    // saturation cursors, derived extraction engine — all at one graph
-    // generation. Post-solve state is *not* reusable (solver insertions
-    // depend on the request), which is why capture precedes the solve.
-    // Skipped when the round stopped non-deterministically, and when a
-    // warm run didn't resume (its state equals the snapshot it restored).
-    const bool Capture =
-        Opts.CaptureSnapshot && Iter == 0 && Opts.MainLoopIters == 1 &&
-        Result.Stats.Rewriting.Stop != StopReason::TimeLimit &&
-        Result.Stats.Rewriting.Stop != StopReason::Cancelled &&
-        !(W && !WarmResume);
     G.rebuild();
-    if (Capture) {
-      // Only the snapshot needs the engine before the solve; every other
-      // round derives it once, after all fold sites are in.
-      syncExtraction();
-      std::ostringstream GraphBytes;
-      G.serialize(GraphBytes);
-      Result.Snapshot.Graph = std::move(GraphBytes).str();
-      Result.Snapshot.Cursors = serializeRunnerCursors(Cursors);
-      Result.Snapshot.Extract = Extraction->saveState();
-      Result.Snapshot.Stop = Cursors.Stop;
-      Result.Snapshot.IterationsDone = Cursors.IterationsDone;
-      Result.Snapshot.Present = true;
-    }
-
-    // A warm-edit graph also holds the *captured* input's classes. Only
-    // classes the edited root reaches can contribute to its programs, so
-    // the fold-site scan below is restricted to them — solving an
-    // unreachable site would insert nodes a cold run never would.
-    std::vector<char> Reachable;
-    if (WarmEdited) {
-      Reachable.assign(G.numIds(), 0);
-      std::vector<EClassId> Work{G.find(Root)};
-      Reachable[Work.front()] = 1;
-      while (!Work.empty()) {
-        const EClassId Id = Work.back();
-        Work.pop_back();
-        for (ENodeId N : G.eclass(Id).Nodes)
-          for (EClassId Kid : G.node(N).children()) {
-            const EClassId C = G.find(Kid);
-            if (!Reachable[C]) {
-              Reachable[C] = 1;
-              Work.push_back(C);
-            }
-          }
-      }
-    }
-
     const auto SolveStart = Clock::now();
 
     // --- Locate fold contexts -------------------------------------------
@@ -324,8 +140,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     // scan is proportional to fold sites rather than graph size.
     std::map<EClassId, std::pair<EClassId, size_t>> BestPerFold;
     for (const auto &[FoldClass, S] : FoldPattern.search(G)) {
-      if (WarmEdited && !Reachable[G.find(FoldClass)])
-        continue;
       EClassId ListClass = G.find(S[ListVar]);
       std::optional<std::vector<EClassId>> Spine =
           spineElements(G, ListClass);
@@ -416,8 +230,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   Result.Stats.SolveFitSeconds = Solve.FitSec;
   Result.Stats.ENodes = G.numNodes();
   Result.Stats.EClasses = G.numClasses();
-  if (Opts.KeepGraphDump)
-    Result.GraphDump = G.dump();
   Result.Stats.Seconds =
       std::chrono::duration<double>(Clock::now() - Start).count();
   return Result;

@@ -40,34 +40,6 @@ struct SynthesisOptions {
   bool EnableIrregular = true;
   bool EnableListSorting = true;
   size_t MaxFoldSites = 256;   ///< guard against pathological inputs
-  /// Export a warm-start snapshot (SynthesisResult::Snapshot) capturing
-  /// the post-saturation, pre-solve pipeline state. Captured only when
-  /// MainLoopIters == 1 and the saturation round stopped on a
-  /// deterministic reason (never TimeLimit or a cancellation). Pure
-  /// bookkeeping: the synthesis itself is byte-identical either way.
-  bool CaptureSnapshot = false;
-  /// Export the final e-graph's debug dump (SynthesisResult::GraphDump).
-  /// Differential tests byte-compare warm and cold dumps with this; it is
-  /// far too expensive for production runs.
-  bool KeepGraphDump = false;
-};
-
-/// A warm-start seed for Synthesizer::synthesizeWarm: the blobs a previous
-/// run captured (SynthesisResult::Snapshot), plus what the caller — the
-/// service snapshot tier — already validated about the pairing.
-struct WarmStart {
-  std::string Graph;   ///< e-graph snapshot (EGraph::serialize bytes)
-  std::string Cursors; ///< saturation continuation (serializeRunnerCursors)
-  std::string Extract; ///< extraction-engine state (KBestExtractor)
-  /// True when Extract was captured under the same cost function and k as
-  /// this request; otherwise the engine is re-derived from the restored
-  /// graph (refresh-equals-scratch makes that sound, just slower).
-  bool ExtractUsable = false;
-  /// True when the request's input is byte-identical to the captured
-  /// run's input (the caller compares exact input hashes); false for the
-  /// localized-edit path, which re-seeds the changed term and resumes
-  /// saturation until the graph closes over it.
-  bool SameInput = false;
 };
 
 /// Statistics of one synthesis run.
@@ -114,27 +86,6 @@ struct SynthesisStats {
   double SolvePreprocessSeconds = 0.0;
   double SolvePruneSeconds = 0.0;
   double SolveFitSeconds = 0.0;
-  // Warm-start accounting (synthesizeWarm). A warm run that aborts falls
-  // back to the cold pipeline; its result is then exactly the cold result
-  // with WarmStartAborted set.
-  bool WarmStart = false;        ///< run started from a restored snapshot
-  bool WarmStartEdit = false;    ///< warm run re-seeded an edited input
-  bool WarmStartAborted = false; ///< warm attempt failed; result is cold
-  size_t WarmResumedIters = 0;   ///< saturation iterations run on resume
-  size_t WarmSkippedIters = 0;   ///< captured iterations the resume skipped
-  double WarmRestoreSeconds = 0.0; ///< graph + cursor + engine restore time
-};
-
-/// The warm-start state a run exports when SynthesisOptions::
-/// CaptureSnapshot is set: everything a later near-miss request needs to
-/// restore the pipeline at its post-saturation, pre-solve point.
-struct SynthesisSnapshot {
-  bool Present = false; ///< false when capture was skipped (see options doc)
-  std::string Graph;    ///< e-graph at the capture point
-  std::string Cursors;  ///< saturation continuation state
-  std::string Extract;  ///< extraction-engine state at the same generation
-  StopReason Stop = StopReason::Saturated; ///< why saturation stopped
-  uint64_t IterationsDone = 0;             ///< absolute iterations consumed
 };
 
 /// The top-k programs plus run statistics.
@@ -142,8 +93,6 @@ struct SynthesisResult {
   std::vector<RankedTerm> Programs; ///< cheapest first; never empty on
                                     ///< success (index 0 == best)
   SynthesisStats Stats;
-  SynthesisSnapshot Snapshot; ///< warm-start capture (CaptureSnapshot)
-  std::string GraphDump;      ///< final-graph dump (KeepGraphDump)
 
   const TermPtr &best() const {
     assert(!Programs.empty() && "synthesis produced no programs");
@@ -164,25 +113,9 @@ public:
   /// \p FlatCsg must satisfy isFlatCsg().
   SynthesisResult synthesize(const TermPtr &FlatCsg) const;
 
-  /// Like synthesize(), but restores \p W instead of saturating from
-  /// scratch: the captured graph and extraction engine come back up, the
-  /// (possibly edited) input is re-seeded, and saturation resumes from the
-  /// stored cursors only as far as the request needs. The warm result is
-  /// identical to the cold one — same programs, same ranks, and for
-  /// same-input requests the same final graph byte-for-byte — because
-  /// restore-then-continue replays the exact mutation sequence the cold
-  /// run would have performed past the capture point. Any validation
-  /// failure, or a resumed edit that fails to re-saturate, falls back to
-  /// the cold pipeline (Stats.WarmStartAborted).
-  SynthesisResult synthesizeWarm(const TermPtr &FlatCsg,
-                                 const WarmStart &W) const;
-
   const SynthesisOptions &options() const { return Opts; }
 
 private:
-  SynthesisResult synthesizeImpl(const TermPtr &FlatCsg, const WarmStart *W,
-                                 bool &Aborted) const;
-
   SynthesisOptions Opts;
 };
 

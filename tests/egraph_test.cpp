@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 using namespace shrinkray;
 
@@ -260,7 +259,7 @@ TEST(ENodeTest, WideNodesSpillAndCopyDeeply) {
   EXPECT_NE(ENode(Op(OpKind::App), Kids.data(), 6), A);
 }
 
-TEST(EGraphStoreTest, WideNodesThroughMergeRebuildAndSnapshot) {
+TEST(EGraphStoreTest, WideNodesThroughMergeAndRebuild) {
   EGraph G;
   std::vector<EClassId> Leaf;
   for (int I = 0; I < 8; ++I)
@@ -299,22 +298,8 @@ TEST(EGraphStoreTest, WideNodesThroughMergeRebuildAndSnapshot) {
   std::vector<EClassId> Want{G.find(WideA), G.find(Fun)};
   std::sort(Want.begin(), Want.end());
   EXPECT_EQ(ParentClasses, Want);
-
-  std::ostringstream Os;
-  G.serialize(Os);
-  EGraph R;
-  std::istringstream Is(Os.str());
-  ASSERT_EQ(R.deserialize(Is), "");
-  EXPECT_EQ(R.checkInvariants(), "");
-  EXPECT_EQ(R.dump(), G.dump());
-  EXPECT_EQ(R.lookup(ENode(Op(OpKind::App), KidsA)), R.find(WideB));
-  EXPECT_EQ(R.lookup(ENode(Op(OpKind::Fun), FunKids)), R.find(Fun));
-  for (EClassId Id : G.classIds())
-    for (ENodeId N : G.eclass(Id).Nodes) {
-      EXPECT_EQ(R.node(N), G.node(N));
-      EXPECT_EQ(R.nodeGen(N), G.nodeGen(N));
-      EXPECT_EQ(R.nodeClass(N), G.nodeClass(N));
-    }
+  EXPECT_EQ(G.lookup(ENode(Op(OpKind::App), KidsA)), G.find(WideB));
+  EXPECT_EQ(G.lookup(ENode(Op(OpKind::Fun), FunKids)), G.find(Fun));
 }
 
 TEST(EGraphStoreTest, AddTermOfA300000DeepChainDoesNotRecurse) {

@@ -174,6 +174,41 @@ TEST(ScadParseTest, LongUnrolledLoopIsRejectedByTermDepth) {
   EXPECT_EQ(termPrimitives(Ok.Value), 900u);
 }
 
+TEST(ScadParseTest, RangeLiteralsAreBounded) {
+  // A step below the start's ulp never reaches the end: 24 bytes used to
+  // grow the range until allocation failed.
+  for (const char *Src : {"for (i=[1e20:1:1e20]) {}",
+                          "for (i=[0:3e9]) cube(1);"}) {
+    ScadResult R = parseScad(Src);
+    ASSERT_FALSE(R) << Src;
+    EXPECT_NE(R.Error.find("range longer than"), std::string::npos)
+        << R.Error;
+  }
+  // A bound that is not a number is a diagnostic, not an empty error.
+  ScadResult R = parseScad("for (i=[0:[1:2]]) cube(1);");
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("range bounds must be numbers"), std::string::npos)
+      << R.Error;
+}
+
+TEST(ScadParseTest, LoopUnrollingIsBounded) {
+  // Each loop stays under the depth bound, but nesting multiplies the
+  // replayed body text: 10^9 iterations from 88 bytes.
+  ScadResult R = parseScad("for(i=[0:999]) union() for(j=[0:999]) union() "
+                           "for(k=[0:999]) translate([i,j,k]) cube(1);");
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.Error.find("loop unrolling re-parses more than"),
+            std::string::npos)
+      << R.Error;
+  // Empty bodies cost their replay too.
+  ScadResult Empty =
+      parseScad("for(i=[0:60000]) for(j=[0:60000]) for(k=[0:999]) {}");
+  ASSERT_FALSE(Empty);
+  EXPECT_NE(Empty.Error.find("loop unrolling re-parses more than"),
+            std::string::npos)
+      << Empty.Error;
+}
+
 TEST(ScadParseTest, GearProgramFlattens) {
   // An OpenSCAD gear rim like the Thingiverse models the paper flattened.
   const char *Src = R"(

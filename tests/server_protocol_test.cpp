@@ -11,10 +11,10 @@
 //    source, out-of-range top_k, fractional job ids, oversized frames,
 //    unknown ops) degrades to an error value;
 //  * response builders emit parseable frames with the documented fields;
-//  * a deterministic-LCG mutation fuzz sweep (the snapshot envelope
-//    fuzzer's discipline): thousands of corrupted frames through
-//    parseJson and parseRequest, asserting error-or-value, never a
-//    throw, and writer/parser agreement whenever a mutant still parses.
+//  * a deterministic-LCG mutation fuzz sweep: thousands of corrupted
+//    frames through parseJson and parseRequest, asserting error-or-value,
+//    never a throw, and writer/parser agreement whenever a mutant still
+//    parses.
 //
 //===----------------------------------------------------------------------===//
 

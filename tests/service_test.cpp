@@ -412,11 +412,22 @@ TEST(ResultCacheTest, DiskSweepTrimsOldestTowardsByteBudget) {
     fs::last_write_time(Dir + "/" + numberedKey(I).hex() + ".srres",
                         Now - std::chrono::seconds(10 - I));
   }
+  // Files the cache did not write, older than every entry: a leftover
+  // snapshot file from an older version and a user's note. Counting them
+  // would push the budget past the newest entry; they must stay put.
+  const std::string Foreign[] = {Dir + "/" + numberedKey(4).hex() + ".srsnap",
+                                 Dir + "/notes.txt"};
+  for (const std::string &F : Foreign) {
+    std::ofstream(F) << std::string(400, 'f');
+    fs::last_write_time(F, Now - std::chrono::seconds(60));
+  }
   C.sweepDisk();
   EXPECT_GE(C.stats().DiskEvictions, 2u);
   EXPECT_FALSE(fs::exists(Dir + "/" + numberedKey(1).hex() + ".srres"));
   EXPECT_FALSE(fs::exists(Dir + "/" + numberedKey(2).hex() + ".srres"));
   EXPECT_TRUE(fs::exists(Dir + "/" + numberedKey(3).hex() + ".srres"));
+  for (const std::string &F : Foreign)
+    EXPECT_TRUE(fs::exists(F)) << F;
 
   // The memory tier is unaffected: evicted disk entries still hit.
   EXPECT_TRUE(C.lookup(numberedKey(1)).has_value());
@@ -445,6 +456,15 @@ TEST(ResultCacheTest, DiskSweepExpiresByAgeAndReapsTmpOrphans) {
   fs::last_write_time(OldTmp,
                       fs::file_time_type::clock::now() -
                           std::chrono::seconds(7200));
+  // Files the cache did not write survive however old they are: a
+  // leftover snapshot file from an older version and a user's note.
+  const std::string Foreign[] = {Dir + "/" + numberedKey(3).hex() + ".srsnap",
+                                 Dir + "/notes.txt"};
+  for (const std::string &F : Foreign) {
+    std::ofstream(F) << "foreign";
+    fs::last_write_time(F, fs::file_time_type::clock::now() -
+                               std::chrono::seconds(7200));
+  }
   C.sweepDisk();
   EXPECT_EQ(C.stats().DiskEvictions, 1u); // tmp reaps are not entry evictions
   EXPECT_FALSE(fs::exists(Old));
@@ -452,48 +472,8 @@ TEST(ResultCacheTest, DiskSweepExpiresByAgeAndReapsTmpOrphans) {
   EXPECT_TRUE(fs::exists(FreshTmp));
   EXPECT_TRUE(
       fs::exists(Dir + "/" + numberedKey(2).hex() + ".srres"));
-}
-
-// Regression: `.srsnap` files must count against the disk byte budget
-// and age limit exactly like `.srres` files. Before the sweep learned
-// about the snapshot tier, a snapshot-only workload never advanced the
-// amortized sweep counter and sweeps skipped the extension entirely, so
-// megabyte-scale snapshot entries grew the cache directory without
-// bound.
-TEST(ResultCacheTest, SnapshotOnlyStoresHonorDiskBudget) {
-  const std::string Dir = tempDir("srcache_snap_budget");
-  ResultCache C(Dir, ResultCache::Limits{0, /*MaxDiskBytes=*/512, 0.0});
-  namespace fs = std::filesystem;
-  const auto Now = fs::file_time_type::clock::now();
-  SnapshotEntry E;
-  E.InputSexp = "(Union Unit Sphere)";
-  E.Graph = std::string(400, 'g'); // every entry alone exceeds half the budget
-  for (uint64_t I = 1; I <= 3; ++I) {
-    E.InputHash = I;
-    C.storeSnapshot(numberedKey(I), E);
-    fs::last_write_time(Dir + "/" + numberedKey(I).hex() + ".srsnap",
-                        Now - std::chrono::seconds(10 - I));
-  }
-  C.sweepDisk();
-  EXPECT_GE(C.stats().SnapshotDiskEvictions, 2u);
-  EXPECT_EQ(C.stats().DiskEvictions, 0u); // split counters: no .srres swept
-  EXPECT_FALSE(fs::exists(Dir + "/" + numberedKey(1).hex() + ".srsnap"));
-  EXPECT_FALSE(fs::exists(Dir + "/" + numberedKey(2).hex() + ".srsnap"));
-  EXPECT_TRUE(fs::exists(Dir + "/" + numberedKey(3).hex() + ".srsnap"));
-
-  // Crashed snapshot writers leave `.srsnap.tmp.<pid>.<n>` orphans; the
-  // age sweep must reap them alongside result tmps.
-  const std::string AgeDir = tempDir("srcache_snap_age");
-  ResultCache A(AgeDir, ResultCache::Limits{0, 0, /*MaxAgeSec=*/3600.0});
-  E.InputHash = 9;
-  A.storeSnapshot(numberedKey(9), E);
-  const std::string OldTmp = AgeDir + "/z.srsnap.tmp.1.2";
-  std::ofstream(OldTmp) << "partial";
-  fs::last_write_time(OldTmp, Now - std::chrono::seconds(7200));
-  A.sweepDisk();
-  EXPECT_FALSE(fs::exists(OldTmp));
-  EXPECT_TRUE(fs::exists(AgeDir + "/" + numberedKey(9).hex() + ".srsnap"));
-  EXPECT_EQ(A.stats().SnapshotDiskEvictions, 0u); // tmp reaps are not evictions
+  for (const std::string &F : Foreign)
+    EXPECT_TRUE(fs::exists(F)) << F;
 }
 
 //===----------------------------------------------------------------------===//

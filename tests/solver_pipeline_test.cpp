@@ -656,9 +656,8 @@ TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
 }
 
 TEST(ExtractRefresh, OneRefreshAfterAllSitesMatchesOracle) {
-  // The synthesizer's pattern: the engine syncs with the saturated graph
-  // (as a snapshot capture does), every fold site inserts, and one
-  // refresh then walks the whole round's dirty log.
+  // An engine synced with the saturated graph, then every fold site
+  // inserts, and one refresh walks the whole round's dirty log.
   FoldSiteFixture F;
   static const AstSizeCost Cost;
   KBestExtractor Engine(F.G, Cost, 5);

@@ -56,7 +56,6 @@ struct BatchOptions {
   size_t Workers = 4;
   std::string CacheDir;
   bool NoCache = false;
-  bool NoWarm = false;
   ResultCache::Limits CacheLimits;
   double DeadlineSec = 0.0;
   std::string OutDir;
@@ -78,7 +77,6 @@ void usage(const char *Argv0) {
       "  -j N               worker threads (default 4)\n"
       "  -cache DIR         persistent result-cache directory\n"
       "  -no-cache          disable the result cache\n"
-      "  -no-warm           disable snapshot-backed warm starts\n"
       "  -cache-mem N       keep at most N results in memory (LRU)\n"
       "  -cache-disk-mb N   sweep the cache dir towards N MiB\n"
       "  -cache-age S       sweep cache entries older than S seconds\n"
@@ -115,8 +113,6 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
       Opts.CacheDir = V;
     } else if (Arg == "-no-cache") {
       Opts.NoCache = true;
-    } else if (Arg == "-no-warm") {
-      Opts.NoWarm = true;
     } else if (Arg == "-cache-mem") {
       const char *V = next();
       if (!V || std::atoi(V) < 1)
@@ -383,7 +379,6 @@ int main(int Argc, char **Argv) {
   Cfg.CacheDir = Opts.CacheDir;
   Cfg.EnableCache = !Opts.NoCache;
   Cfg.CacheLimits = Opts.CacheLimits;
-  Cfg.EnableWarmStart = !Opts.NoWarm;
   SynthesisService Service(Cfg);
 
   const auto Start = std::chrono::steady_clock::now();
@@ -399,7 +394,6 @@ int main(int Argc, char **Argv) {
   }
 
   size_t Failed = 0, Cancelled = 0, Hits = 0;
-  size_t Warm = 0, WarmEdits = 0, WarmAborted = 0;
   std::set<std::string> UsedOutNames;
   if (!Opts.Quiet)
     std::printf("%-28s | %-9s | %8s %8s | %8s | %5s\n", "job", "status",
@@ -420,9 +414,6 @@ int main(int Argc, char **Argv) {
     case JobOutcome::Status::Succeeded:
       break;
     }
-    Warm += Out.Result.Stats.WarmStart ? 1 : 0;
-    WarmEdits += Out.Result.Stats.WarmStartEdit ? 1 : 0;
-    WarmAborted += Out.Result.Stats.WarmStartAborted ? 1 : 0;
     if (!Opts.Quiet) {
       std::string Best = "-";
       if (!Out.Result.Programs.empty())
@@ -465,10 +456,5 @@ int main(int Argc, char **Argv) {
               CS.Hits, CS.DiskHits, CS.Misses, CS.Stores,
               CS.MemEvictions + CS.DiskEvictions, CS.MemEvictions,
               CS.DiskEvictions);
-  std::printf("warm-start: %zu warm (%zu edit, %zu aborted); snapshots: "
-              "%zu hits, %zu misses, %zu stores, %zu evicted\n",
-              Warm, WarmEdits, WarmAborted, CS.SnapshotHits,
-              CS.SnapshotMisses, CS.SnapshotStores,
-              CS.SnapshotMemEvictions + CS.SnapshotDiskEvictions);
   return Failed == 0 ? 0 : 1;
 }

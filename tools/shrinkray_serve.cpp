@@ -14,8 +14,8 @@
 //                        stderr as "listening on 127.0.0.1:<port>")
 //     --shard N          with --tcp: fork N server processes listening
 //                        on PORT..PORT+N-1, all sharing the cache dir —
-//                        the disk result cache and snapshot tier are the
-//                        cross-process warm layer. Requires PORT != 0.
+//                        the disk result cache is the shared result
+//                        cache across processes. Requires PORT != 0.
 //
 //   Traffic management:
 //     --max-queue N      admission bound on the job queue (default 64;
@@ -30,9 +30,8 @@
 //
 //   Service:
 //     --workers N        worker threads (default 4)
-//     --cache DIR        persistent result/snapshot cache directory
+//     --cache DIR        persistent result cache directory
 //     --no-cache         disable the result cache
-//     --no-warm          disable snapshot-backed warm starts
 //     --verbose          log connections and drain progress
 //
 //   Exit: 0 after a clean drain; 1 on transport setup failure; 2 on
@@ -81,7 +80,6 @@ void usage(const char *Argv0) {
       "  --workers N        worker threads (default 4)\n"
       "  --cache DIR        persistent cache directory\n"
       "  --no-cache         disable the result cache\n"
-      "  --no-warm          disable warm starts\n"
       "  --verbose          log connections\n",
       Argv0);
 }
@@ -137,8 +135,6 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
       Opts.Server.Service.CacheDir = V;
     } else if (Arg == "--no-cache") {
       Opts.Server.Service.EnableCache = false;
-    } else if (Arg == "--no-warm") {
-      Opts.Server.Service.EnableWarmStart = false;
     } else if (Arg == "--verbose") {
       Opts.Server.Verbose = true;
     } else if (Arg == "-h" || Arg == "--help") {
