@@ -6,8 +6,7 @@
 ///
 /// \file
 /// Implementation of fitted closed forms (paper Sec. 4.1): evaluation for
-/// epsilon-band verification and rendering to LambdaCAD arithmetic terms
-/// over the loop index variable.
+/// epsilon-band verification and report rendering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,74 +35,8 @@ double ClosedForm::evaluate(double I) const {
   return 0.0;
 }
 
-static bool isIntegral(double V) {
+bool shrinkray::isIntegral(double V) {
   return V == std::floor(V) && std::fabs(V) < 1e15;
-}
-
-TermPtr shrinkray::numericLiteral(double Value) {
-  if (isIntegral(Value))
-    return tInt(static_cast<int64_t>(Value));
-  return tFloat(Value);
-}
-
-TermPtr shrinkray::scaledIndexTerm(double Coeff, const TermPtr &Index) {
-  if (Coeff == 1.0)
-    return Index;
-  if (Coeff == -1.0)
-    return tSub(tInt(0), Index);
-  return tMul(numericLiteral(Coeff), Index);
-}
-
-/// Appends `+ C` to \p Base, eliding zero and folding negative constants
-/// into a subtraction.
-static TermPtr addConstant(TermPtr Base, double C) {
-  if (C == 0.0)
-    return Base;
-  if (C < 0.0)
-    return tSub(std::move(Base), numericLiteral(-C));
-  return tAdd(std::move(Base), numericLiteral(C));
-}
-
-TermPtr ClosedForm::toTerm(const TermPtr &Index,
-                           int64_t RotationPeriod) const {
-  switch (Kind) {
-  case FormKind::Constant:
-    return numericLiteral(C);
-  case FormKind::Poly1: {
-    if (B == 0.0)
-      return numericLiteral(C);
-    if (RotationPeriod != 0) {
-      // Rotation heuristic: slope B == 360/RotationPeriod. Render the
-      // periodic structure explicitly, folding a phase equal to one step
-      // into the index (the paper's `360 * (i+1) / b` form).
-      TermPtr Idx = Index;
-      double Phase = C;
-      if (std::fabs(C - B) < 1e-9) { // y = B*(i+1)
-        Idx = tAdd(Index, tInt(1));
-        Phase = 0.0;
-      }
-      TermPtr Core = tDiv(tMul(tInt(360), Idx), tInt(RotationPeriod));
-      return addConstant(std::move(Core), Phase);
-    }
-    return addConstant(scaledIndexTerm(B, Index), C);
-  }
-  case FormKind::Poly2: {
-    TermPtr Sq = tMul(Index, Index);
-    TermPtr Lead = scaledIndexTerm(A, Sq);
-    TermPtr WithLinear =
-        B == 0.0 ? Lead : tAdd(std::move(Lead), scaledIndexTerm(B, Index));
-    return addConstant(std::move(WithLinear), C);
-  }
-  case FormKind::Trig: {
-    TermPtr Angle = addConstant(scaledIndexTerm(B, Index), C);
-    TermPtr Sine = tSin(std::move(Angle));
-    TermPtr Scaled =
-        A == 1.0 ? std::move(Sine) : tMul(numericLiteral(A), std::move(Sine));
-    return addConstant(std::move(Scaled), D);
-  }
-  }
-  assert(false && "unknown form kind");
-  return nullptr;
 }
 
 std::string ClosedForm::str() const {
@@ -158,24 +91,4 @@ std::string_view ClosedForm::tableClass() const {
   }
   assert(false && "unknown form kind");
   return "";
-}
-
-TermPtr ClosedForm2::toTerm(const TermPtr &I, const TermPtr &J) const {
-  TermPtr Acc;
-  if (A != 0.0)
-    Acc = scaledIndexTerm(A, I);
-  if (B != 0.0) {
-    TermPtr Bj = scaledIndexTerm(B, J);
-    Acc = Acc ? tAdd(std::move(Acc), std::move(Bj)) : std::move(Bj);
-  }
-  if (!Acc)
-    return numericLiteral(C);
-  return addConstant(std::move(Acc), C);
-}
-
-std::string ClosedForm2::str() const {
-  std::ostringstream Os;
-  Os << formatFloat(A) << "*i + " << formatFloat(B) << "*j + "
-     << formatFloat(C);
-  return Os.str();
 }

@@ -7,17 +7,17 @@
 /// \file
 /// Closed forms inferred by the function solvers (paper Sec. 4.1): degree-1
 /// and degree-2 polynomials in the list index, and sinusoids a*sin(b*i + c).
-/// A closed form can evaluate itself (for epsilon-band verification) and
-/// render itself as a LambdaCAD arithmetic term over an index variable.
+/// A closed form evaluates itself for epsilon-band verification; inference
+/// adds it to the e-graph as arithmetic over the loop index (addClosedForm
+/// in synth/Inference.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SHRINKRAY_SOLVERS_CLOSEDFORM_H
 #define SHRINKRAY_SOLVERS_CLOSEDFORM_H
 
-#include "cad/Term.h"
-
 #include <string>
+#include <string_view>
 
 namespace shrinkray {
 
@@ -46,14 +46,6 @@ struct ClosedForm {
 
   double evaluate(double I) const;
 
-  /// Renders as an arithmetic term over \p Index (e.g. `2*(i) + 2`), using
-  /// integer literals for integral coefficients and eliding zero terms.
-  ///
-  /// \p RotationPeriod, when nonzero, renders a Poly1 form with slope
-  /// 360/RotationPeriod as `360 * i / RotationPeriod (+ phase)` — the
-  /// paper's rotation heuristic (Sec. 4.1 "Rotation").
-  TermPtr toTerm(const TermPtr &Index, int64_t RotationPeriod = 0) const;
-
   /// Human-readable rendering for reports, e.g. "6*i + 6".
   std::string str() const;
 
@@ -61,25 +53,9 @@ struct ClosedForm {
   std::string_view tableClass() const;
 };
 
-/// A fitted two-index linear form y(i, j) = a*i + b*j + c, used by the
-/// nested-loop inference (paper Sec. 5).
-struct ClosedForm2 {
-  double A = 0.0, B = 0.0, C = 0.0;
-
-  double evaluate(double I, double J) const { return A * I + B * J + C; }
-
-  /// Renders over two index variables.
-  TermPtr toTerm(const TermPtr &I, const TermPtr &J) const;
-
-  std::string str() const;
-};
-
-/// Builds `Coeff * Index` with the usual simplifications (0, 1, -1), using
-/// an Int literal when \p Coeff is integral.
-TermPtr scaledIndexTerm(double Coeff, const TermPtr &Index);
-
-/// A numeric literal: Int when integral, Float otherwise.
-TermPtr numericLiteral(double Value);
+/// True iff \p V is written as an integer literal: integral and below
+/// 1e15 in magnitude.
+bool isIntegral(double V);
 
 } // namespace shrinkray
 

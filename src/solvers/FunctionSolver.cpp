@@ -7,7 +7,7 @@
 /// \file
 /// The facade's remaining bodies: the per-sequence entry points delegate to
 /// the staged SolverPipeline (PolyModule / TrigModule); the multi-index
-/// linear fits used by nested-loop inference live here, sharing the same
+/// linear fit used by nested-loop inference lives here, sharing the same
 /// nicing and band-verification helpers as the modules.
 ///
 //===----------------------------------------------------------------------===//
@@ -31,71 +31,6 @@ std::optional<ClosedForm> FunctionSolver::fitPoly(const std::vector<double> &Ys,
 std::optional<ClosedForm>
 FunctionSolver::fitTrig(const std::vector<double> &Ys) const {
   return fitTrigForm(Ys, options());
-}
-
-std::optional<ClosedForm2> FunctionSolver::fitLinear2(
-    const std::vector<std::pair<double, double>> &Indices,
-    const std::vector<double> &Ys) const {
-  assert(Indices.size() == Ys.size() && "index/value size mismatch");
-  const SolverOptions &Opts = options();
-  const size_t N = Ys.size();
-  if (N < 3)
-    return std::nullopt;
-
-  Matrix A(N, 3);
-  std::vector<double> B(N);
-  for (size_t I = 0; I < N; ++I) {
-    A.at(I, 0) = 1.0;
-    A.at(I, 1) = Indices[I].first;
-    A.at(I, 2) = Indices[I].second;
-    B[I] = Ys[I];
-  }
-  std::optional<std::vector<double>> X = leastSquares(A, B);
-  ClosedForm2 Raw;
-  if (X) {
-    Raw.C = (*X)[0];
-    Raw.A = (*X)[1];
-    Raw.B = (*X)[2];
-  } else {
-    // Rank deficiency: one index may be constant (a 1-by-n grid). Fall back
-    // to a 1D fit over the varying index.
-    bool IVaries = false, JVaries = false;
-    for (const auto &[I, J] : Indices) {
-      IVaries |= I != Indices[0].first;
-      JVaries |= J != Indices[0].second;
-    }
-    if (IVaries && JVaries)
-      return std::nullopt;
-    Matrix A1(N, 2);
-    for (size_t I = 0; I < N; ++I) {
-      A1.at(I, 0) = 1.0;
-      A1.at(I, 1) = IVaries ? Indices[I].first : Indices[I].second;
-    }
-    std::optional<std::vector<double>> X1 = leastSquares(A1, B);
-    if (!X1)
-      return std::nullopt;
-    Raw.C = (*X1)[0];
-    (IVaries ? Raw.A : Raw.B) = (*X1)[1];
-  }
-
-  auto verify2 = [&](const ClosedForm2 &F) {
-    for (size_t I = 0; I < N; ++I)
-      if (std::fabs(F.evaluate(Indices[I].first, Indices[I].second) - Ys[I]) >
-          Opts.Epsilon)
-        return false;
-    return true;
-  };
-
-  for (double CoefA : niceCandidates(Raw.A, Opts))
-    for (double CoefB : niceCandidates(Raw.B, Opts))
-      for (double CoefC : niceCandidates(Raw.C, Opts)) {
-        ClosedForm2 F{CoefA, CoefB, CoefC};
-        if (verify2(F))
-          return F;
-      }
-  if (verify2(Raw))
-    return Raw;
-  return std::nullopt;
 }
 
 std::optional<std::vector<double>>

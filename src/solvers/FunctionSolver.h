@@ -77,15 +77,11 @@ public:
   /// form (also satisfying the R^2 floor) or nullopt.
   std::optional<ClosedForm> fitTrig(const std::vector<double> &Ys) const;
 
-  /// Two-index linear fit y = a*i + b*j + c over arbitrary (i, j) pairs
-  /// (used by nested-loop inference). Verified against the epsilon band.
-  std::optional<ClosedForm2>
-  fitLinear2(const std::vector<std::pair<double, double>> &Indices,
-             const std::vector<double> &Ys) const;
-
   /// K-index linear fit y = c + sum_k a_k * idx_k. \p Indices[i] holds the
   /// K index coordinates of sample i. Returns [c, a_1, ..., a_K] verified
-  /// against the epsilon band, or nullopt. Used for triply-nested loops.
+  /// against the epsilon band, or nullopt (also when an index column is
+  /// rank-deficient). Nested-loop inference fits its 2- and 3-index grids
+  /// with it.
   std::optional<std::vector<double>>
   fitLinearN(const std::vector<std::vector<double>> &Indices,
              const std::vector<double> &Ys) const;

@@ -21,6 +21,18 @@
 
 using namespace shrinkray;
 
+const ENode *shrinkray::spineNode(const EGraph &G, EClassId ListClass) {
+  const ENode *Cons = nullptr, *Nil = nullptr;
+  for (ENodeId NId : G.eclass(ListClass).Nodes) {
+    const ENode &N = G.node(NId);
+    if (N.kind() == OpKind::Cons)
+      Cons = &N;
+    else if (N.kind() == OpKind::Nil)
+      Nil = &N;
+  }
+  return Cons ? Cons : Nil;
+}
+
 std::optional<std::vector<EClassId>>
 shrinkray::spineElements(const EGraph &G, EClassId ListClass) {
   std::vector<EClassId> Out;
@@ -29,24 +41,13 @@ shrinkray::spineElements(const EGraph &G, EClassId ListClass) {
   while (true) {
     if (!Visited.insert(Cur).second)
       return std::nullopt; // cyclic spine
-    const EClass &C = G.eclass(Cur);
-    const ENode *ConsNode = nullptr;
-    bool HasNil = false;
-    for (ENodeId NId : C.Nodes) {
-      const ENode &N = G.node(NId);
-      if (N.kind() == OpKind::Cons)
-        ConsNode = &N;
-      if (N.kind() == OpKind::Nil)
-        HasNil = true;
-    }
-    if (ConsNode) {
-      Out.push_back(G.find(ConsNode->child(0)));
-      Cur = G.find(ConsNode->child(1));
-      continue;
-    }
-    if (HasNil)
+    const ENode *N = spineNode(G, Cur);
+    if (!N)
+      return std::nullopt; // not a pure spine
+    if (N->kind() == OpKind::Nil)
       return Out;
-    return std::nullopt; // not a pure spine
+    Out.push_back(G.find(N->child(0)));
+    Cur = G.find(N->child(1));
   }
 }
 

@@ -57,6 +57,10 @@ struct ChainDecomposition {
   size_t numLayers() const { return LayerKinds.size(); }
 };
 
+/// The list node a spine walk follows in \p ListClass (canonical): the
+/// class's last Cons node, else its Nil node, else nullptr (not a list).
+const ENode *spineNode(const EGraph &G, EClassId ListClass);
+
 /// Walks a Cons spine starting at \p ListClass, returning the element
 /// classes, or nullopt if the class does not contain a pure spine (e.g. an
 /// unexpanded Concat). Spines are followed through canonical ids; the walk

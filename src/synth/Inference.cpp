@@ -15,11 +15,10 @@
 
 #include "synth/Inference.h"
 
-#include "egraph/Pattern.h"
-
-#include <algorithm>
 #include <array>
-#include <set>
+#include <cassert>
+#include <cmath>
+#include <optional>
 #include <sstream>
 
 using namespace shrinkray;
@@ -79,20 +78,59 @@ std::string InferenceRecord::formNotation() const {
 
 namespace {
 
-const char *BaseHole = "base";
-const char *ChildHole = "child";
+/// Loop-variable names, interned once: constructing a Symbol takes the
+/// process-wide intern lock, which per-site insertion must not.
+struct LoopVars {
+  std::array<Symbol, 3> Index{Symbol("i"), Symbol("j"), Symbol("k")};
+  Symbol C{"c"};
+};
 
-/// Instantiates a term containing `?base` / `?child` holes into the graph.
-EClassId addWithHole(EGraph &G, const TermPtr &T, const char *Hole,
-                     EClassId Filling) {
-  Pattern P(T);
-  Subst S;
-  S.bind(Symbol(Hole), Filling);
-  return P.instantiate(G, S);
+const LoopVars &loopVars() {
+  static const LoopVars Vars;
+  return Vars;
 }
 
-TermPtr holeVar(const char *Hole) {
-  return makeTerm(Op::makePatVar(Symbol(Hole)));
+// Inferred programs are added straight into the graph, children first and
+// left to right (a braced list evaluates in order), so nodes get their
+// classes in the order a recursive build of the same tree would give them.
+
+EClassId addNode(EGraph &G, OpKind K, std::initializer_list<EClassId> Kids) {
+  return G.add(ENode(Op(K), Kids));
+}
+
+EClassId addInt(EGraph &G, int64_t Value) {
+  return G.add(ENode(Op::makeInt(Value), {}));
+}
+
+EClassId addVar(EGraph &G, Symbol Name) {
+  return G.add(ENode(Op::makeVar(Name), {}));
+}
+
+/// A numeric literal: Int when integral, Float otherwise.
+EClassId addLiteral(EGraph &G, double Value) {
+  if (isIntegral(Value))
+    return addInt(G, static_cast<int64_t>(Value));
+  return G.add(ENode(Op::makeFloat(Value), {}));
+}
+
+/// `Base + C`, eliding zero and folding a negative constant into a Sub.
+EClassId addConstant(EGraph &G, EClassId Base, double C) {
+  if (C == 0.0)
+    return Base;
+  return addNode(G, C < 0.0 ? OpKind::Sub : OpKind::Add,
+                 {Base, addLiteral(G, std::fabs(C))});
+}
+
+/// `Coeff * X` with the usual simplifications (1 -> X, -1 -> 0 - X), using
+/// an Int literal when \p Coeff is integral. \p AddX adds X after the
+/// coefficient's literal.
+template <typename AddFn>
+EClassId addScaled(EGraph &G, double Coeff, AddFn AddX) {
+  if (Coeff == 1.0)
+    return AddX();
+  if (Coeff == -1.0)
+    return addNode(G, OpKind::Sub, {addInt(G, 0), AddX()});
+  return addNode(G, OpKind::Mul, {addLiteral(G, Coeff), AddX()});
 }
 
 /// Per-layer solved component forms.
@@ -120,20 +158,6 @@ void recordForms(const std::array<const ClosedForm *, 3> &Picked,
       Rec.Forms.push_back(F->Kind);
     recordModule(F->Module, Rec.Modules);
   }
-}
-
-/// Builds the Vec3 expression term of one layer under index variable `i`,
-/// applying the rotation heuristic to Rotate layers.
-TermPtr layerVecTerm(OpKind LayerKind,
-                     const std::array<const ClosedForm *, 3> &Picked) {
-  std::array<TermPtr, 3> Exprs;
-  for (int C = 0; C < 3; ++C) {
-    int64_t Period = 0;
-    if (LayerKind == OpKind::Rotate)
-      Period = rotationPeriod(*Picked[C]);
-    Exprs[C] = Picked[C]->toTerm(tVar("i"), Period);
-  }
-  return tVec3(Exprs[0], Exprs[1], Exprs[2]);
 }
 
 /// True iff every element has (within tolerance) the same vector in the
@@ -188,6 +212,52 @@ std::optional<EClassId> sharedOuterChild(const EGraph &G,
 
 } // namespace
 
+EClassId shrinkray::addClosedForm(EGraph &G, const ClosedForm &F,
+                                 EClassId Index, int64_t RotationPeriod) {
+  auto index = [Index] { return Index; };
+  switch (F.Kind) {
+  case FormKind::Constant:
+    return addLiteral(G, F.C);
+  case FormKind::Poly1: {
+    if (F.B == 0.0)
+      return addLiteral(G, F.C);
+    if (RotationPeriod == 0)
+      return addConstant(G, addScaled(G, F.B, index), F.C);
+    // Rotation heuristic: slope B == 360/RotationPeriod. Render the
+    // periodic structure explicitly, folding a phase equal to one step
+    // into the index (the paper's `360 * (i+1) / b` form).
+    const bool OneStep = std::fabs(F.C - F.B) < 1e-9; // y = B*(i+1)
+    EClassId Turns = addNode(
+        G, OpKind::Mul,
+        {addInt(G, 360),
+         OneStep ? addNode(G, OpKind::Add, {Index, addInt(G, 1)}) : Index});
+    EClassId Core =
+        addNode(G, OpKind::Div, {Turns, addInt(G, RotationPeriod)});
+    return addConstant(G, Core, OneStep ? 0.0 : F.C);
+  }
+  case FormKind::Poly2: {
+    EClassId Poly = addScaled(G, F.A, [&] {
+      return addNode(G, OpKind::Mul, {Index, Index});
+    });
+    if (F.B != 0.0)
+      Poly = addNode(G, OpKind::Add, {Poly, addScaled(G, F.B, index)});
+    return addConstant(G, Poly, F.C);
+  }
+  case FormKind::Trig: {
+    auto addSine = [&] {
+      return addNode(G, OpKind::Sin,
+                     {addConstant(G, addScaled(G, F.B, index), F.C)});
+    };
+    EClassId Wave =
+        F.A == 1.0 ? addSine()
+                   : addNode(G, OpKind::Mul, {addLiteral(G, F.A), addSine()});
+    return addConstant(G, Wave, F.D);
+  }
+  }
+  assert(false && "unknown form kind");
+  return Index;
+}
+
 //===----------------------------------------------------------------------===//
 // Function inference (nested Mapi)
 //===----------------------------------------------------------------------===//
@@ -226,34 +296,43 @@ shrinkray::inferFunctions(EGraph &G, EClassId ListClass,
     return &Forms.front();
   };
 
-  std::set<std::string> SeenVariants;
+  const LoopVars &Vars = loopVars();
   for (bool PreferTrig : {false, true}) {
+    // Skip the trig variant when it selects exactly the same forms.
+    std::vector<std::array<const ClosedForm *, 3>> Picked(D.numLayers());
+    bool Differs = false;
+    for (size_t L = 0; L < D.numLayers(); ++L)
+      for (int C = 0; C < 3; ++C) {
+        Picked[L][C] = pick(Layers[L].Comp[C], PreferTrig);
+        Differs |= Picked[L][C] != &Layers[L].Comp[C].front();
+      }
+    if (PreferTrig && !Differs)
+      continue;
+
+    // Mapi (Fun (i, c) -> T_0(f_0(i), c)) (... Repeat(base, N)), one Mapi
+    // per layer, outermost first; Rotate layers use the rotation form.
+    const EClassId I = addVar(G, Vars.Index[0]), C = addVar(G, Vars.C);
+    std::vector<EClassId> Funs(D.numLayers());
+    for (size_t L = 0; L < D.numLayers(); ++L) {
+      const bool Rotate = D.LayerKinds[L] == OpKind::Rotate;
+      auto addComp = [&](int Comp) {
+        const ClosedForm &F = *Picked[L][Comp];
+        return addClosedForm(G, F, I, Rotate ? rotationPeriod(F) : 0);
+      };
+      EClassId Vec =
+          addNode(G, OpKind::Vec3Ctor, {addComp(0), addComp(1), addComp(2)});
+      Funs[L] =
+          addNode(G, OpKind::Fun, {I, C, addNode(G, D.LayerKinds[L], {Vec, C})});
+    }
+    EClassId NewList = addNode(
+        G, OpKind::Repeat, {D.Base, addInt(G, static_cast<int64_t>(N))});
     InferenceRecord Rec;
     Rec.K = InferenceRecord::Kind::Mapi;
     Rec.Bounds = {static_cast<int64_t>(N)};
-
-    TermPtr Inner =
-        tRepeat(holeVar(BaseHole), tInt(static_cast<int64_t>(N)));
-    std::ostringstream Signature;
-    for (size_t LPlus1 = D.numLayers(); LPlus1 > 0; --LPlus1) {
-      const size_t L = LPlus1 - 1;
-      std::array<const ClosedForm *, 3> Picked;
-      for (int C = 0; C < 3; ++C) {
-        Picked[C] = pick(Layers[L].Comp[C], PreferTrig);
-        Signature << static_cast<int>(Picked[C]->Kind) << ",";
-      }
-      recordForms(Picked, Rec);
-      TermPtr Body = makeTerm(Op(D.LayerKinds[L]),
-                              {layerVecTerm(D.LayerKinds[L], Picked),
-                               tVar("c")});
-      Inner = tMapi(tFun({tVar("i"), tVar("c"), Body}), Inner);
+    for (size_t L = D.numLayers(); L-- > 0;) {
+      recordForms(Picked[L], Rec);
+      NewList = addNode(G, OpKind::Mapi, {Funs[L], NewList});
     }
-
-    // Skip the trig variant when it selects exactly the same forms.
-    if (!SeenVariants.insert(Signature.str()).second)
-      continue;
-
-    EClassId NewList = addWithHole(G, Inner, BaseHole, D.Base);
     G.merge(ListClass, NewList);
     Rec.Description = "Mapi over " + std::to_string(N) + " elements, " +
                       std::to_string(D.numLayers()) + " layer(s)";
@@ -299,24 +378,31 @@ std::vector<int64_t> indexTuple(int64_t T,
   return Idx;
 }
 
-/// Builds sum_k a_k * Var(names[k]) + c from a coefficient vector.
-TermPtr linearTerm(const std::vector<double> &Coef,
-                   const std::vector<const char *> &Names) {
-  TermPtr Acc;
-  for (size_t K = 0; K < Names.size(); ++K) {
+/// Adds c + sum_k a_k * Idx[k] from [c, a_1, ..., a_M], eliding zero
+/// terms.
+EClassId addLinear(EGraph &G, const std::vector<double> &Coef,
+                   const std::vector<EClassId> &Idx) {
+  std::optional<EClassId> Acc;
+  for (size_t K = 0; K < Idx.size(); ++K) {
     if (Coef[K + 1] == 0.0)
       continue;
-    TermPtr Piece = scaledIndexTerm(Coef[K + 1], tVar(Names[K]));
-    Acc = Acc ? tAdd(std::move(Acc), std::move(Piece)) : std::move(Piece);
+    EClassId Piece = addScaled(G, Coef[K + 1], [&] { return Idx[K]; });
+    Acc = Acc ? addNode(G, OpKind::Add, {*Acc, Piece}) : Piece;
   }
-  double C = Coef[0];
   if (!Acc)
-    return numericLiteral(C);
-  if (C == 0.0)
-    return Acc;
-  if (C < 0.0)
-    return tSub(std::move(Acc), numericLiteral(-C));
-  return tAdd(std::move(Acc), numericLiteral(C));
+    return addLiteral(G, Coef[0]);
+  return addConstant(G, *Acc, Coef[0]);
+}
+
+/// Adds the index list [0, 1, ..., N-1] as a Cons spine.
+EClassId addIndexList(EGraph &G, int64_t N) {
+  std::vector<EClassId> Ints(static_cast<size_t>(N));
+  for (int64_t I = 0; I < N; ++I)
+    Ints[I] = addInt(G, I);
+  EClassId List = addNode(G, OpKind::Nil, {});
+  for (int64_t I = N; I > 0; --I)
+    List = addNode(G, OpKind::Cons, {Ints[I - 1], List});
+  return List;
 }
 
 } // namespace
@@ -339,7 +425,7 @@ shrinkray::inferLoops(EGraph &G, EClassId ListClass,
   if (!Child)
     return Records;
 
-  static const std::vector<const char *> VarNames = {"i", "j", "k"};
+  const LoopVars &Vars = loopVars();
   for (int M : {2, 3}) {
     for (const std::vector<int64_t> &Factors :
          factorizations(static_cast<int64_t>(N), M)) {
@@ -368,21 +454,22 @@ shrinkray::inferLoops(EGraph &G, EClassId ListClass,
       if (!AllFit)
         continue;
 
-      // Build: Fold (Fun i -> ... Fold (Fun k -> T(expr, ?child),
-      //        Nil, idx) ..., Nil, idx) — a list-producing flat-map nest.
-      std::vector<const char *> Names(VarNames.begin(),
-                                      VarNames.begin() + M);
-      TermPtr Body = makeTerm(
-          Op(D.LayerKinds[0]),
-          {tVec3(linearTerm(Coef[0], Names), linearTerm(Coef[1], Names),
-                 linearTerm(Coef[2], Names)),
-           holeVar(ChildHole)});
-      TermPtr ListTerm = Body;
-      for (int Level = M; Level > 0; --Level)
-        ListTerm = tFold(tFun({tVar(VarNames[Level - 1]), ListTerm}), tNil(),
-                         tIndexList(Factors[Level - 1]));
-
-      EClassId NewList = addWithHole(G, ListTerm, ChildHole, *Child);
+      // Add: Fold (Fun i -> ... Fold (Fun k -> T(expr, child), Nil, idx)
+      //      ..., Nil, idx) — a list-producing flat-map nest.
+      std::vector<EClassId> Idx(M);
+      for (int Level = 0; Level < M; ++Level)
+        Idx[Level] = addVar(G, Vars.Index[Level]);
+      EClassId Vec = addNode(G, OpKind::Vec3Ctor,
+                             {addLinear(G, Coef[0], Idx),
+                              addLinear(G, Coef[1], Idx),
+                              addLinear(G, Coef[2], Idx)});
+      EClassId NewList = addNode(G, D.LayerKinds[0], {Vec, *Child});
+      for (int Level = M; Level > 0; --Level) {
+        EClassId Fun = addNode(G, OpKind::Fun, {Idx[Level - 1], NewList});
+        NewList = addNode(G, OpKind::Fold,
+                          {Fun, addNode(G, OpKind::Nil, {}),
+                           addIndexList(G, Factors[Level - 1])});
+      }
       G.merge(ListClass, NewList);
 
       InferenceRecord Rec;
@@ -446,8 +533,9 @@ shrinkray::inferIrregular(EGraph &G, EClassId ListClass,
   if (SameSize)
     return Records;
 
-  // Per group: closed forms for y and z over the in-group index.
-  std::vector<TermPtr> GroupLists;
+  // Per group: closed forms for y and z over the in-group index, all
+  // solved before anything is added (a group without one adds nothing).
+  std::vector<std::pair<ClosedForm, ClosedForm>> Forms;
   InferenceRecord Rec;
   Rec.K = InferenceRecord::Kind::IrregularFold;
   for (const Group &Gr : Groups) {
@@ -465,30 +553,38 @@ shrinkray::inferIrregular(EGraph &G, EClassId ListClass,
     recordModule(FormY->Module, Rec.Modules);
     recordModule(FormZ->Module, Rec.Modules);
     Rec.Bounds.push_back(static_cast<int64_t>(Size));
+    Forms.emplace_back(*FormY, *FormZ);
+  }
 
-    TermPtr Vec = tVec3(numericLiteral(Gr.X), FormY->toTerm(tVar("i")),
-                        FormZ->toTerm(tVar("i")));
-    if (Size == 1) {
-      // A lone element: reference the shared child class directly.
-      TermPtr Elem =
-          makeTerm(Op(D.LayerKinds[0]), {Vec, holeVar(ChildHole)});
-      GroupLists.push_back(tCons(Elem, tNil()));
-    } else {
-      // Inside the Mapi the transformed solid is the bound parameter c.
-      TermPtr Elem = makeTerm(Op(D.LayerKinds[0]), {Vec, tVar("c")});
+  // A lone element is Cons(T(v, child), Nil), referencing the shared child
+  // class directly; a run is Mapi (Fun (i, c) -> T(v(i), c)) over
+  // Repeat(child, size), where the transformed solid is the parameter c.
+  const LoopVars &Vars = loopVars();
+  std::vector<EClassId> GroupLists;
+  for (size_t K = 0; K < Groups.size(); ++K) {
+    const size_t Size = Groups[K].End - Groups[K].Begin;
+    const EClassId I = addVar(G, Vars.Index[0]);
+    const EClassId Solid = Size == 1 ? *Child : addVar(G, Vars.C);
+    EClassId Vec = addNode(G, OpKind::Vec3Ctor,
+                           {addLiteral(G, Groups[K].X),
+                            addClosedForm(G, Forms[K].first, I),
+                            addClosedForm(G, Forms[K].second, I)});
+    EClassId Elem = addNode(G, D.LayerKinds[0], {Vec, Solid});
+    if (Size == 1)
       GroupLists.push_back(
-          tMapi(tFun({tVar("i"), tVar("c"), Elem}),
-                tRepeat(holeVar(ChildHole),
-                        tInt(static_cast<int64_t>(Size)))));
-    }
+          addNode(G, OpKind::Cons, {Elem, addNode(G, OpKind::Nil, {})}));
+    else
+      GroupLists.push_back(addNode(
+          G, OpKind::Mapi,
+          {addNode(G, OpKind::Fun, {I, Solid, Elem}),
+           addNode(G, OpKind::Repeat,
+                   {*Child, addInt(G, static_cast<int64_t>(Size))})}));
   }
 
   // Concat the per-group lists: the "fold over the folds" of Sec. 5.
-  TermPtr ListTerm = GroupLists.back();
-  for (size_t I = GroupLists.size() - 1; I > 0; --I)
-    ListTerm = tConcat(GroupLists[I - 1], ListTerm);
-
-  EClassId NewList = addWithHole(G, ListTerm, ChildHole, *Child);
+  EClassId NewList = GroupLists.back();
+  for (size_t K = GroupLists.size() - 1; K > 0; --K)
+    NewList = addNode(G, OpKind::Concat, {GroupLists[K - 1], NewList});
   G.merge(ListClass, NewList);
   Rec.Description =
       "irregular grouping into " + std::to_string(Groups.size()) + " runs";

@@ -45,6 +45,18 @@ struct InferenceRecord {
   std::string formNotation() const;
 };
 
+/// Adds the arithmetic e-nodes of \p F over the index class \p Index and
+/// returns the expression's class (e.g. `2*i + 2`). Integral coefficients
+/// become Int literals, multiplications by 1 and additions of 0 are
+/// elided, and negative constants fold into a Sub.
+///
+/// \p RotationPeriod, when nonzero, renders a Poly1 form with slope
+/// 360/RotationPeriod as `360 * i / RotationPeriod (+ phase)`, or
+/// `360 * (i+1) / RotationPeriod` when the phase is one step — the paper's
+/// rotation heuristic (Sec. 4.1 "Rotation").
+EClassId addClosedForm(EGraph &G, const ClosedForm &F, EClassId Index,
+                       int64_t RotationPeriod = 0);
+
 /// Function inference (Sec. 4): solves every affine layer of \p D and, on
 /// success, merges the nested-Mapi program into \p ListClass. When layers
 /// admit both polynomial and trigonometric forms, one variant per family is

@@ -22,6 +22,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 using namespace shrinkray;
 
@@ -40,6 +41,74 @@ size_t SynthesisResult::structureRank() const {
     if (describeLoops(Programs[I].T).HasLoops)
       return I + 1;
   return 0;
+}
+
+std::vector<FoldSite> shrinkray::locateFoldSites(const EGraph &G,
+                                                 size_t MaxSites) {
+  // Spine length per canonical list class, as spineElements counts it:
+  // one more than the tail of the class's spineNode, 0 at Nil, nullopt for
+  // a cycle or a class that is not a list. A walk enters each class it
+  // reaches as nullopt, so meeting it again on the same walk reads as a
+  // cycle. Each class is walked once: the list variants of a fold class
+  // share their tails, and walking every spine again cost quadratic time.
+  std::unordered_map<EClassId, std::optional<size_t>> Lengths;
+  std::vector<EClassId> Walk;
+  auto spineLength = [&](EClassId List) {
+    Walk.clear();
+    std::optional<size_t> Len;
+    for (EClassId Cur = List;;) {
+      auto [It, Inserted] = Lengths.try_emplace(Cur);
+      if (!Inserted) {
+        Len = It->second;
+        break;
+      }
+      const ENode *N = spineNode(G, Cur);
+      if (!N)
+        break;
+      if (N->kind() == OpKind::Nil) {
+        Len = It->second = 0;
+        break;
+      }
+      Walk.push_back(Cur);
+      Cur = G.find(N->child(1));
+    }
+    for (size_t I = Walk.size(); I > 0; --I) {
+      if (Len)
+        ++*Len;
+      Lengths[Walk[I - 1]] = Len;
+    }
+    return Len;
+  };
+
+  // A fold class accumulates one Fold node per extension step, so it can
+  // reference many list variants (length 2, 3, ..., n). Only the longest
+  // spine is worth solving: the shorter ones are strict sub-lists whose
+  // structure the full solution subsumes, while genuinely partial
+  // repetition (e.g. Figure 16) lives in *different* fold classes.
+  // search() seeds its candidates from the operator-head index, so this
+  // scan is proportional to fold sites rather than graph size.
+  const Pattern FoldPattern = Pattern::parse("(Fold Union Empty ?l)");
+  const Symbol ListVar("l");
+  std::map<EClassId, std::pair<EClassId, size_t>> BestPerFold;
+  for (const auto &[FoldClass, S] : FoldPattern.search(G)) {
+    EClassId ListClass = G.find(S[ListVar]);
+    std::optional<size_t> Len = spineLength(ListClass);
+    if (!Len)
+      continue;
+    auto [It, Inserted] = BestPerFold.emplace(
+        G.find(FoldClass), std::make_pair(ListClass, *Len));
+    if (!Inserted && *Len > It->second.second)
+      It->second = {ListClass, *Len};
+  }
+  std::vector<FoldSite> Sites;
+  std::set<EClassId> SeenLists;
+  for (const auto &[FoldClass, Best] : BestPerFold) {
+    if (Sites.size() >= MaxSites)
+      break;
+    if (SeenLists.insert(Best.first).second)
+      Sites.push_back({FoldClass, Best.first});
+  }
+  return Sites;
 }
 
 SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
@@ -84,8 +153,6 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
   SolverOptions SolverOpts = Opts.Solver;
   SolverOpts.Cancel = Opts.Limits.Cancel;
   const FunctionSolver Solver(SolverOpts);
-  const Pattern FoldPattern = Pattern::parse("(Fold Union Empty ?l)");
-  const Symbol ListVar("l");
 
   // Cooperative cancellation: the job's token rides in on the runner
   // limits and is checked between phases and between fold sites. Once it
@@ -131,33 +198,9 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
     const auto SolveStart = Clock::now();
 
     // --- Locate fold contexts -------------------------------------------
-    // A fold class accumulates one Fold node per extension step, so it can
-    // reference many list variants (length 2, 3, ..., n). Only the longest
-    // spine is worth solving: the shorter ones are strict sub-lists whose
-    // structure the full solution subsumes, while genuinely partial
-    // repetition (e.g. Figure 16) lives in *different* fold classes.
-    // search() seeds its candidates from the operator-head index, so this
-    // scan is proportional to fold sites rather than graph size.
-    std::map<EClassId, std::pair<EClassId, size_t>> BestPerFold;
-    for (const auto &[FoldClass, S] : FoldPattern.search(G)) {
-      EClassId ListClass = G.find(S[ListVar]);
-      std::optional<std::vector<EClassId>> Spine =
-          spineElements(G, ListClass);
-      if (!Spine)
-        continue;
-      auto [It, Inserted] = BestPerFold.emplace(
-          G.find(FoldClass), std::make_pair(ListClass, Spine->size()));
-      if (!Inserted && Spine->size() > It->second.second)
-        It->second = {ListClass, Spine->size()};
-    }
-    std::vector<std::pair<EClassId, EClassId>> Sites; // (fold, list)
-    std::set<EClassId> SeenLists;
-    for (const auto &[FoldClass, Best] : BestPerFold) {
-      if (Sites.size() >= Opts.MaxFoldSites)
-        break;
-      if (SeenLists.insert(Best.first).second)
-        Sites.emplace_back(FoldClass, Best.first);
-    }
+    // One site per fold class, its longest list; the scan walks each list
+    // spine once (locateFoldSites).
+    const std::vector<FoldSite> Sites = locateFoldSites(G, Opts.MaxFoldSites);
     Result.Stats.FoldSites += Sites.size();
 
     // --- Determinize, sort, and solve each context (Fig. 5 lines 5-7) ---

@@ -119,6 +119,20 @@ private:
   SynthesisOptions Opts;
 };
 
+/// A fold context: the class of a `Fold Union Empty l` node and the list
+/// class l whose spine the solvers read.
+struct FoldSite {
+  EClassId Fold = 0;
+  EClassId List = 0;
+};
+
+/// Locates the fold contexts of \p G (paper Fig. 5 line 5): for each fold
+/// class, the list with the longest Cons spine (the first found on a tie;
+/// cyclic and non-list classes are no site). A list shared by several fold
+/// classes is solved once, under the lowest fold class id; at most
+/// \p MaxSites sites are returned, in fold class order.
+std::vector<FoldSite> locateFoldSites(const EGraph &G, size_t MaxSites);
+
 /// Syntactic loop summary of a synthesized program (Table 1 columns n-l/f).
 struct LoopSummary {
   bool HasLoops = false;

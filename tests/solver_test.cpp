@@ -1,6 +1,7 @@
 //===-- tests/solver_test.cpp - Function solver tests ---------------------===//
 
 #include "solvers/FunctionSolver.h"
+#include "synth/Inference.h"
 
 #include "cad/Sexp.h"
 #include "linalg/Vec3.h"
@@ -26,6 +27,21 @@ std::vector<double> sample(FormKind Kind, double A, double B, double C,
   return Out;
 }
 
+/// Whether addClosedForm, over `(Var i)` in a fresh graph, yields a class
+/// representing \p Sexp.
+::testing::AssertionResult rendersAs(const ClosedForm &F,
+                                     int64_t RotationPeriod,
+                                     std::string_view Sexp) {
+  ParseResult Expected = parseSexp(Sexp);
+  if (!Expected)
+    return ::testing::AssertionFailure() << "bad expectation: " << Sexp;
+  EGraph G;
+  EClassId Form = addClosedForm(G, F, G.addTerm(tVar("i")), RotationPeriod);
+  if (G.representsTerm(Form, Expected.Value))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "does not represent " << Sexp;
+}
+
 } // namespace
 
 TEST(ClosedFormTest, EvaluateAllKinds) {
@@ -39,32 +55,29 @@ TEST(ClosedFormTest, EvaluateAllKinds) {
   EXPECT_NEAR(Trig.evaluate(1), 2.0, 1e-12);
 }
 
-TEST(ClosedFormTest, ToTermLineRendersCompactly) {
+TEST(ClosedFormTest, AddClosedFormLineRendersCompactly) {
   ClosedForm Line{FormKind::Poly1, 0, 2.0, 2.0};
-  TermPtr T = Line.toTerm(tVar("i"));
-  EXPECT_EQ(printSexp(T), "(Add (Mul 2 (Var i)) 2)");
+  EXPECT_TRUE(rendersAs(Line, 0, "(Add (Mul 2 (Var i)) 2)"));
 }
 
-TEST(ClosedFormTest, ToTermElidesZeroAndOne) {
+TEST(ClosedFormTest, AddClosedFormElidesZeroAndOne) {
   ClosedForm Id{FormKind::Poly1, 0, 1.0, 0.0};
-  EXPECT_EQ(printSexp(Id.toTerm(tVar("i"))), "(Var i)");
+  EXPECT_TRUE(rendersAs(Id, 0, "(Var i)"));
   ClosedForm NegConst{FormKind::Poly1, 0, 2.0, -1.0};
-  EXPECT_EQ(printSexp(NegConst.toTerm(tVar("i"))),
-            "(Sub (Mul 2 (Var i)) 1)");
+  EXPECT_TRUE(rendersAs(NegConst, 0, "(Sub (Mul 2 (Var i)) 1)"));
 }
 
-TEST(ClosedFormTest, ToTermRotationHeuristic) {
+TEST(ClosedFormTest, AddClosedFormRotationHeuristic) {
   // Gear teeth: y = 6*(i+1); rendered as 360 * (i+1) / 60.
   ClosedForm Rot{FormKind::Poly1, 0, 6.0, 6.0};
-  TermPtr T = Rot.toTerm(tVar("i"), /*RotationPeriod=*/60);
-  EXPECT_EQ(printSexp(T),
-            "(Div (Mul 360 (Add (Var i) 1)) 60)");
+  EXPECT_TRUE(rendersAs(Rot, /*RotationPeriod=*/60,
+                        "(Div (Mul 360 (Add (Var i) 1)) 60)"));
 }
 
-TEST(ClosedFormTest, ToTermRotationWithZeroPhase) {
+TEST(ClosedFormTest, AddClosedFormRotationWithZeroPhase) {
   ClosedForm Rot{FormKind::Poly1, 0, 6.0, 0.0};
-  TermPtr T = Rot.toTerm(tVar("i"), /*RotationPeriod=*/60);
-  EXPECT_EQ(printSexp(T), "(Div (Mul 360 (Var i)) 60)");
+  EXPECT_TRUE(rendersAs(Rot, /*RotationPeriod=*/60,
+                        "(Div (Mul 360 (Var i)) 60)"));
 }
 
 TEST(ClosedFormTest, TableClassification) {
@@ -232,49 +245,56 @@ TEST(SolverTest, RotationPeriodDetection) {
 TEST(SolverTest, Linear2RegularGrid) {
   // Figure 14: x = 24 i - 12 over a 2x2 grid.
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  std::vector<std::vector<double>> Idx = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   std::vector<double> Xs = {-12, -12, 12, 12};
-  auto F = S.fitLinear2(Idx, Xs);
+  auto F = S.fitLinearN(Idx, Xs);
   ASSERT_TRUE(F.has_value());
-  EXPECT_DOUBLE_EQ(F->A, 24.0);
-  EXPECT_DOUBLE_EQ(F->B, 0.0);
-  EXPECT_DOUBLE_EQ(F->C, -12.0);
+  EXPECT_EQ(*F, (std::vector<double>{-12.0, 24.0, 0.0}));
 }
 
 TEST(SolverTest, Linear2BothIndices) {
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx;
+  std::vector<std::vector<double>> Idx;
   std::vector<double> Ys;
   for (int I = 0; I < 3; ++I)
     for (int J = 0; J < 4; ++J) {
-      Idx.emplace_back(I, J);
+      Idx.push_back({double(I), double(J)});
       Ys.push_back(3.0 * I - 2.0 * J + 7.0);
     }
-  auto F = S.fitLinear2(Idx, Ys);
+  auto F = S.fitLinearN(Idx, Ys);
   ASSERT_TRUE(F.has_value());
-  EXPECT_DOUBLE_EQ(F->A, 3.0);
-  EXPECT_DOUBLE_EQ(F->B, -2.0);
-  EXPECT_DOUBLE_EQ(F->C, 7.0);
+  EXPECT_EQ(*F, (std::vector<double>{7.0, 3.0, -2.0}));
 }
 
-TEST(SolverTest, Linear2DegenerateColumn) {
-  // j never varies: rank-deficient; solver falls back to a 1D fit.
+TEST(SolverTest, LinearNThreeIndexGrid) {
+  // A 2x2x3 grid (paper Sec. 5's triply nested loops).
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx = {{0, 0}, {1, 0}, {2, 0}};
-  std::vector<double> Ys = {1.0, 3.0, 5.0};
-  auto F = S.fitLinear2(Idx, Ys);
+  std::vector<std::vector<double>> Idx;
+  std::vector<double> Ys;
+  for (int I = 0; I < 2; ++I)
+    for (int J = 0; J < 2; ++J)
+      for (int K = 0; K < 3; ++K) {
+        Idx.push_back({double(I), double(J), double(K)});
+        Ys.push_back(5.0 * I - J + 0.5 * K + 2.0);
+      }
+  auto F = S.fitLinearN(Idx, Ys);
   ASSERT_TRUE(F.has_value());
-  EXPECT_DOUBLE_EQ(F->A, 2.0);
-  EXPECT_DOUBLE_EQ(F->C, 1.0);
+  EXPECT_EQ(*F, (std::vector<double>{2.0, 5.0, -1.0, 0.5}));
+}
+
+TEST(SolverTest, LinearNRejectsRankDeficientIndex) {
+  // The second index is always 0: its coefficient is undetermined.
+  FunctionSolver S;
+  std::vector<std::vector<double>> Idx = {{0, 0}, {1, 0}, {2, 0}};
+  std::vector<double> Ys = {1.0, 3.0, 5.0};
+  EXPECT_FALSE(S.fitLinearN(Idx, Ys).has_value());
 }
 
 TEST(SolverTest, Linear2RejectsNonPlanarData) {
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  std::vector<std::vector<double>> Idx = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   std::vector<double> Ys = {0.0, 1.0, 2.0, 50.0};
-  EXPECT_FALSE(S.fitLinear2(Idx, Ys).has_value());
+  EXPECT_FALSE(S.fitLinearN(Idx, Ys).has_value());
 }
 
 TEST(SolverTest, CustomEpsilonWidensBand) {

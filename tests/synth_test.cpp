@@ -352,3 +352,67 @@ TEST(SynthTest, TiltedGearToothEditsSaturate) {
     }
   }
 }
+
+namespace {
+
+/// Adds `Fold Union Empty List` and returns the fold's class.
+EClassId addUnionFold(EGraph &G, EClassId List) {
+  EClassId UnionRef = G.add(ENode(Op::makeOpRef(OpKind::Union), {}));
+  EClassId Empty = G.add(ENode(Op(OpKind::Empty), {}));
+  return G.add(ENode(Op(OpKind::Fold), {UnionRef, Empty, List}));
+}
+
+} // namespace
+
+TEST(FoldSiteTest, CyclicSpineIsNoSite) {
+  // A Cons whose tail is merged back into its own class: the spine never
+  // reaches Nil, so there is nothing to solve.
+  EGraph G;
+  EClassId Tail = G.addTerm(tNil());
+  EClassId List = G.add(ENode(Op(OpKind::Cons), {G.addTerm(tUnit()), Tail}));
+  addUnionFold(G, List);
+  G.merge(List, Tail);
+  G.rebuild();
+  EXPECT_TRUE(locateFoldSites(G, 256).empty());
+}
+
+TEST(FoldSiteTest, FoldClassKeepsItsLongestList) {
+  // One fold class referencing list variants of lengths 2..5 (the shape
+  // fold extension leaves behind) is one site: the first length-5 list.
+  EGraph G;
+  std::vector<TermPtr> Cubes;
+  for (int I = 0; I < 5; ++I)
+    Cubes.push_back(tTranslate(2.0 * I, 0, 0, tUnit()));
+  std::optional<EClassId> Fold;
+  EClassId Longest = 0;
+  for (size_t Len = 2; Len <= Cubes.size(); ++Len) {
+    Longest = G.addTerm(tList({Cubes.begin(), Cubes.begin() + Len}));
+    EClassId F = addUnionFold(G, Longest);
+    if (Fold)
+      G.merge(*Fold, F);
+    Fold = F;
+  }
+  // A second length-5 variant found later ties and does not win.
+  std::vector<TermPtr> Reversed(Cubes.rbegin(), Cubes.rend());
+  G.merge(*Fold, addUnionFold(G, G.addTerm(tList(Reversed))));
+  G.rebuild();
+  std::vector<FoldSite> Sites = locateFoldSites(G, 256);
+  ASSERT_EQ(Sites.size(), 1u);
+  EXPECT_EQ(Sites[0].Fold, G.find(*Fold));
+  EXPECT_EQ(Sites[0].List, G.find(Longest));
+  EXPECT_EQ(spineElements(G, Sites[0].List)->size(), 5u);
+  EXPECT_TRUE(locateFoldSites(G, 0).empty());
+}
+
+TEST(SynthTest, FoldSiteCountsOnTableOneModels) {
+  // Pins which fold contexts the scan selects on three Table 1 models.
+  const std::pair<const char *, size_t> Expected[] = {
+      {"3362402:gear", 61},
+      {"3097951:rasp-pie", 78},
+      {"3432939:nintendo-slot", 31}};
+  for (const auto &[Name, Sites] : Expected) {
+    SynthesisResult R =
+        Synthesizer().synthesize(models::modelByName(Name).FlatCsg);
+    EXPECT_EQ(R.Stats.FoldSites, Sites) << Name;
+  }
+}
