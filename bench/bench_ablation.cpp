@@ -9,10 +9,6 @@
 //   no-sorting      — list manipulation disabled (Sec. 4.3 off)
 //   no-loop-inf     — nested-loop inference disabled (Sec. 5 off)
 //   no-irregular    — irregular-grid fallback disabled
-//   no-reorder      — affine reordering rewrites removed (Fig. 8b off):
-//                     measured via a much smaller rewrite fuel, since rule
-//                     sets are fixed at pipeline level; approximated by
-//                     MainLoopIters with tiny iteration budget
 //   low-fuel        — IterLimit 8 (saturation starved)
 //
 //===----------------------------------------------------------------------===//

@@ -389,23 +389,33 @@ size_t shrinkray::termValueHashNode(const Op &O,
   return mix64(H);
 }
 
-bool shrinkray::isFlatCsg(const TermPtr &T) {
-  OpKind K = T->kind();
-  if (isPrimitiveOp(K) || K == OpKind::External)
-    return true;
-  if (isAffineOp(K)) {
-    // The vector argument must be all-literal.
-    const TermPtr &Vec = T->child(0);
-    if (Vec->kind() != OpKind::Vec3Ctor)
-      return false;
-    for (const TermPtr &Comp : Vec->children())
-      if (Comp->kind() != OpKind::Float && Comp->kind() != OpKind::Int)
+bool shrinkray::isFlatCsg(const TermPtr &Root) {
+  // Iterative: a submitted model is one long Union chain, deeper than any
+  // safe recursion budget.
+  std::vector<const Term *> Work{Root.get()};
+  while (!Work.empty()) {
+    const Term &T = *Work.back();
+    Work.pop_back();
+    OpKind K = T.kind();
+    if (isPrimitiveOp(K) || K == OpKind::External)
+      continue;
+    if (isAffineOp(K)) {
+      // The vector argument must be all-literal.
+      const TermPtr &Vec = T.child(0);
+      if (Vec->kind() != OpKind::Vec3Ctor)
         return false;
-    return isFlatCsg(T->child(1));
+      for (const TermPtr &Comp : Vec->children())
+        if (Comp->kind() != OpKind::Float && Comp->kind() != OpKind::Int)
+          return false;
+      Work.push_back(T.child(1).get());
+    } else if (isBoolOp(K)) {
+      Work.push_back(T.child(1).get());
+      Work.push_back(T.child(0).get());
+    } else {
+      return false;
+    }
   }
-  if (isBoolOp(K))
-    return isFlatCsg(T->child(0)) && isFlatCsg(T->child(1));
-  return false;
+  return true;
 }
 
 // --- Convenience constructors ----------------------------------------------

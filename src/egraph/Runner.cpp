@@ -396,7 +396,7 @@ RunnerReport Runner::run(EGraph &G, const RuleSet &DB) const {
 
     // Every live cursor has passed the log prefix at generations <= the
     // minimum rule cursor; rules never searched do not read the log (their
-    // next search is full). External readers are protected by leases.
+    // next search is full).
     uint64_t MinCursor = UINT64_MAX;
     bool AnyCursor = false;
     for (size_t R = 0; R < NumRules; ++R)

@@ -69,7 +69,7 @@ uint64_t service::ruleDatabaseFingerprint(const std::vector<Rewrite> &Rules) {
 
 uint64_t service::optionsFingerprint(const SynthesisOptions &Opts) {
   Fnv1a F;
-  F.u64(1); // options-fingerprint schema version
+  F.u64(2); // options-fingerprint schema version
   F.u64(Opts.Limits.IterLimit)
       .u64(Opts.Limits.NodeLimit)
       .f64(Opts.Limits.TimeLimitSec)
@@ -80,7 +80,6 @@ uint64_t service::optionsFingerprint(const SynthesisOptions &Opts) {
       .u64(static_cast<uint64_t>(Opts.Solver.MaxNiceDenominator));
   F.u64(Opts.TopK)
       .u64(static_cast<uint64_t>(Opts.Cost))
-      .u64(Opts.MainLoopIters)
       .u64(Opts.EnableLoopInference)
       .u64(Opts.EnableIrregular)
       .u64(Opts.EnableListSorting)

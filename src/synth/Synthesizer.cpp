@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Implementation of the end-to-end pipeline (paper Figure 5) and the
-/// loop-shape reporting behind Table 1's n-l/f columns. The main loop
-/// owns one incremental KBestExtractor across iterations and attributes
-/// wall clock to the rewrite/solve/extract phases (SynthesisStats).
+/// loop-shape reporting behind Table 1's n-l/f columns. One round of
+/// saturation and solving is followed by one top-k extraction; wall clock
+/// is attributed to the rewrite/solve/extract phases (SynthesisStats).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 
 #include <chrono>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -133,16 +132,9 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
   EGraph G;
 
   const std::vector<Rewrite> Rules = pipelineRules();
-  // One compiled database for every saturation round: the shared-prefix
-  // tries are a pure function of the rules, so recompiling per round
-  // would only burn time.
+  // The shared-prefix tries are a pure function of the rules, compiled
+  // once for the saturation run.
   const RuleSet CompiledRules(Rules);
-
-  // The extraction engine lives across main-loop iterations: the first
-  // round derives costs for the whole graph, every later round refreshes
-  // incrementally from the generation-stamped dirty log, so re-extraction
-  // costs time proportional to what the round changed.
-  std::unique_ptr<KBestExtractor> Extraction;
 
   EClassId Root = G.addTerm(Input);
   G.rebuild();
@@ -165,34 +157,23 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
     return true;
   };
 
-  // Builds the engine on first use and refreshes it after that; refresh
-  // equals a rebuild from scratch, so where the sync happens changes only
-  // how much work it does, never the programs.
-  auto syncExtraction = [&] {
-    const auto ExtractStart = Clock::now();
-    if (!Extraction)
-      Extraction =
-          std::make_unique<KBestExtractor>(G, costFn(Opts.Cost), Opts.TopK);
-    else
-      Extraction->refresh();
-    Result.Stats.ExtractSeconds +=
-        std::chrono::duration<double>(Clock::now() - ExtractStart).count();
-  };
-
-  Runner SaturationRunner(Opts.Limits);
-  for (unsigned Iter = 0; Iter < Opts.MainLoopIters && !cancelled(); ++Iter) {
+  // One round (the paper: "one iteration suffices"): saturate, then solve
+  // every fold site. A cancellation skips the rest of the round.
+  auto saturateAndSolve = [&] {
+    if (cancelled())
+      return;
     // --- Syntactic rewrites (Fig. 5 line 4) -----------------------------
     const auto RewriteStart = Clock::now();
-    Result.Stats.Rewriting = SaturationRunner.run(G, CompiledRules);
+    Result.Stats.Rewriting = Runner(Opts.Limits).run(G, CompiledRules);
     if (Result.Stats.Rewriting.Stop == StopReason::TimeLimit)
       Result.Stats.WallClockTruncated = true;
-    Result.Stats.RewriteSeconds +=
+    Result.Stats.RewriteSeconds =
         std::chrono::duration<double>(Clock::now() - RewriteStart).count();
-    Result.Stats.RewriteSearchSeconds += Result.Stats.Rewriting.SearchSec;
-    Result.Stats.RewriteApplySeconds += Result.Stats.Rewriting.ApplySec;
-    Result.Stats.RewriteRebuildSeconds += Result.Stats.Rewriting.RebuildSec;
+    Result.Stats.RewriteSearchSeconds = Result.Stats.Rewriting.SearchSec;
+    Result.Stats.RewriteApplySeconds = Result.Stats.Rewriting.ApplySec;
+    Result.Stats.RewriteRebuildSeconds = Result.Stats.Rewriting.RebuildSec;
     if (cancelled())
-      break;
+      return;
 
     G.rebuild();
     const auto SolveStart = Clock::now();
@@ -201,7 +182,7 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
     // One site per fold class, its longest list; the scan walks each list
     // spine once (locateFoldSites).
     const std::vector<FoldSite> Sites = locateFoldSites(G, Opts.MaxFoldSites);
-    Result.Stats.FoldSites += Sites.size();
+    Result.Stats.FoldSites = Sites.size();
 
     // --- Determinize, sort, and solve each context (Fig. 5 lines 5-7) ---
     for (const auto &[FoldClass, ListClass] : Sites) {
@@ -242,30 +223,22 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
       }
       G.rebuild();
     }
-    Result.Stats.SolveSeconds +=
+    Result.Stats.SolveSeconds =
         std::chrono::duration<double>(Clock::now() - SolveStart).count();
-    if (cancelled())
-      break;
-
-    // --- Top-k extraction (Fig. 5 lines 8-9), once per round -------------
-    // One sync covers the whole round: saturation and every fold site's
-    // insertions reach the engine through a single dirty-log walk.
-    G.rebuild();
-    syncExtraction();
-  }
+  };
+  saturateAndSolve();
+  // A token that fired during the last fold site still marks the result
+  // partial.
+  (void)cancelled();
   G.rebuild();
 
-  // No engine yet: MainLoopIters == 0, or a cancellation before the first
-  // sync — extract the graph as-is. A run cancelled after a sync broke out
-  // before its round's sync: re-sync so the candidate table keys on the
-  // current canonical ids (a stale table can miss the root outright after
-  // merges re-rooted its class) — this is what makes the partial-result
-  // contract hold.
-  if (!Extraction || Result.Stats.Cancelled)
-    syncExtraction();
+  // --- Top-k extraction (Fig. 5 lines 8-9) -------------------------------
+  // Once, on the final graph; a cancelled run extracts whatever the graph
+  // holds, which keeps the partial-result contract.
   const auto ExtractStart = Clock::now();
-  Result.Programs = Extraction->extract(Root);
-  Result.Stats.ExtractSeconds +=
+  KBestExtractor Extraction(G, costFn(Opts.Cost), Opts.TopK);
+  Result.Programs = Extraction.extract(Root);
+  Result.Stats.ExtractSeconds =
       std::chrono::duration<double>(Clock::now() - ExtractStart).count();
   const SolveBreakdown &Solve = Solver.breakdown();
   Result.Stats.SolvePreprocessSeconds = Solve.PreprocessSec;

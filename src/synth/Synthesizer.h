@@ -35,7 +35,6 @@ struct SynthesisOptions {
   SolverOptions Solver;        ///< epsilon band etc.
   size_t TopK = 5;             ///< programs to return (paper uses 5)
   CostKind Cost = CostKind::AstSize;
-  unsigned MainLoopIters = 1;  ///< paper: one iteration suffices in practice
   bool EnableLoopInference = true;
   bool EnableIrregular = true;
   bool EnableListSorting = true;
@@ -51,13 +50,12 @@ struct SynthesisStats {
   /// well-formed, equivalent terms — just not necessarily the ones a full
   /// run would rank first).
   bool Cancelled = false;
-  /// True when *any* main-loop saturation round stopped on the runner's
-  /// wall-clock safety valve (RunnerLimits::TimeLimitSec). Unlike the
-  /// iteration/node fuel limits this is machine- and load-dependent, so
-  /// such results must not enter the shared result cache (Rewriting only
-  /// retains the last round's report — this flag covers them all).
+  /// True when saturation stopped on the runner's wall-clock safety valve
+  /// (RunnerLimits::TimeLimitSec). Unlike the iteration/node fuel limits
+  /// this is machine- and load-dependent, so such results must not enter
+  /// the shared result cache.
   bool WallClockTruncated = false;
-  RunnerReport Rewriting;      ///< saturation report (last main iteration)
+  RunnerReport Rewriting;      ///< saturation report
   /// Primitives removed by stage-0 input canonicalization (duplicate Union
   /// operands; union is idempotent). 0 for duplicate-free inputs, where
   /// canonicalization is the identity.
@@ -68,14 +66,13 @@ struct SynthesisStats {
   size_t ENodes = 0;           ///< final graph size
   size_t EClasses = 0;
   double Seconds = 0.0;        ///< end-to-end wall clock
-  // Per-phase wall clock, summed across main-loop iterations. The three
-  // phases cover nearly all of Seconds; the remainder is graph setup.
+  // Per-phase wall clock. The three phases cover nearly all of Seconds;
+  // the remainder is graph setup.
   double RewriteSeconds = 0.0; ///< equality saturation (Runner)
   double SolveSeconds = 0.0;   ///< determinize + solver inference + sorting
-  double ExtractSeconds = 0.0; ///< extraction engine derive/refresh+extract
-  // Saturation sub-phases (RunnerReport totals summed across main-loop
-  // iterations): compiled-group search, memo-filtered apply, and
-  // rebuild + dirty-log compaction.
+  double ExtractSeconds = 0.0; ///< k-best engine construction + extract(root)
+  // Saturation sub-phases (RunnerReport totals): compiled-group search,
+  // memo-filtered apply, and rebuild + dirty-log compaction.
   double RewriteSearchSeconds = 0.0;
   double RewriteApplySeconds = 0.0;
   double RewriteRebuildSeconds = 0.0;

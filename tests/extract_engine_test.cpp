@@ -1,24 +1,24 @@
 //===-- tests/extract_engine_test.cpp - Worklist extraction engine --------===//
 //
-// Differential and adversarial coverage for the worklist-driven, incremental
-// extraction engine:
+// Differential and adversarial coverage for the extraction engines:
 //
 //  * parent-index (canonicalParents) consistency under merges and repair;
 //  * worklist one-best vs the fixed-point ReferenceExtractor: bit-identical
 //    costs, choice nodes, and extracted terms for every class of every
 //    bench model's saturated e-graph;
-//  * k-best worklist vs ReferenceKBestExtractor: bit-identical candidate
-//    lists, plus the distinctness/ordering properties the paper's top-k
-//    contract requires;
-//  * incremental refresh() equivalence: refreshing across extra saturation
-//    rounds and adversarial merge sequences must land on exactly the state
-//    a from-scratch derivation computes;
+//  * lazy k-best vs ReferenceKBestExtractor: bit-identical candidate
+//    lists at the root and at every class, under both pipeline cost
+//    functions and several k, on the bench models, on hand-built cycles
+//    and after adversarial merges; plus the distinctness/ordering
+//    properties the paper's top-k contract requires;
+//  * laziness and depth: a root extraction touches a small part of the
+//    graph, and a 5,000-element spine extracts without recursion;
 //  * value-level deduplication: Int/Float respellings never masquerade as
 //    program diversity.
 //
 //===----------------------------------------------------------------------===//
 
-#include "egraph/Extract.h"
+#include "ExtractOracle.h"
 #include "egraph/Runner.h"
 #include "models/Models.h"
 #include "rewrites/Rules.h"
@@ -70,11 +70,11 @@ void expectOneBestIdentical(const EGraph &G, const Extractor &Engine,
   }
 }
 
-/// Asserts two k-best extractions agree bit-for-bit on every class.
+/// Asserts two k-best extractions agree bit-for-bit on classes \p Ids.
 template <typename EngineT, typename OracleT>
-void expectKBestIdentical(const EGraph &G, const EngineT &Engine,
+void expectKBestIdentical(const std::vector<EClassId> &Ids, EngineT &Engine,
                           const OracleT &Oracle, const std::string &Tag) {
-  for (EClassId Id : G.classIds()) {
+  for (EClassId Id : Ids) {
     std::vector<RankedTerm> A = Engine.extract(Id);
     std::vector<RankedTerm> B = Oracle.extract(Id);
     ASSERT_EQ(A.size(), B.size())
@@ -85,6 +85,20 @@ void expectKBestIdentical(const EGraph &G, const EngineT &Engine,
       ASSERT_TRUE(termEquals(A[I].T, B[I].T))
           << Tag << ": candidate " << I << " differs at class " << Id;
     }
+  }
+}
+
+/// Root-only and every-class extractions against the oracle, each from a
+/// fresh engine, for k in {1, 2, 5, 8}.
+void expectLazyMatchesOracle(const EGraph &G, EClassId Root, const CostFn &Cost,
+                             const std::string &Tag) {
+  for (size_t K : {1u, 2u, 5u, 8u}) {
+    const std::string KTag = Tag + " k=" + std::to_string(K);
+    ReferenceKBestExtractor Oracle(G, Cost, K);
+    KBestExtractor RootOnly(G, Cost, K);
+    expectKBestIdentical({Root}, RootOnly, Oracle, KTag + " root");
+    KBestExtractor Everywhere(G, Cost, K);
+    expectKBestIdentical(G.classIds(), Everywhere, Oracle, KTag);
   }
 }
 
@@ -207,13 +221,13 @@ TEST(ExtractDifferentialTest, OneBestMatchesOracleOnAllBenchModels) {
 }
 
 TEST(ExtractDifferentialTest, KBestMatchesOracleOnAllBenchModels) {
-  AstSizeCost Cost;
+  AstSizeCost Size;
+  RewardLoopsCost Loops;
   for (const models::BenchmarkModel &M : models::allModels()) {
     EGraph G;
-    saturate(G, M.FlatCsg);
-    KBestExtractor Engine(G, Cost, 5);
-    ReferenceKBestExtractor Oracle(G, Cost, 5);
-    expectKBestIdentical(G, Engine, Oracle, M.Name);
+    EClassId Root = saturate(G, M.FlatCsg);
+    expectLazyMatchesOracle(G, Root, Size, M.Name + "/ast-size");
+    expectLazyMatchesOracle(G, Root, Loops, M.Name + "/reward-loops");
   }
 }
 
@@ -228,7 +242,8 @@ TEST(ExtractDifferentialTest, RewardLoopsCostAgreesOnTailModel) {
   expectOneBestIdentical(G, Engine, Oracle, "nintendo-slot/reward-loops");
   KBestExtractor KEngine(G, Cost, 5);
   ReferenceKBestExtractor KOracle(G, Cost, 5);
-  expectKBestIdentical(G, KEngine, KOracle, "nintendo-slot/reward-loops");
+  expectKBestIdentical(G.classIds(), KEngine, KOracle,
+                       "nintendo-slot/reward-loops");
 }
 
 TEST(ExtractDifferentialTest, DepthCostAgreesOnCyclicGraph) {
@@ -295,107 +310,131 @@ TEST(KBestContractTest, ValueHashAgreesWithApproxEquality) {
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental refresh
+// Lazy k-best: differential, cycles, depth, laziness
 //===----------------------------------------------------------------------===//
 
-TEST(IncrementalExtractTest, RefreshAfterSaturationRoundsMatchesScratch) {
-  AstSizeCost Cost;
-  for (const char *Name : {"3362402:gear", "3432939:nintendo-slot"}) {
-    EGraph G;
-    EClassId Root = G.addTerm(models::modelByName(Name).FlatCsg);
-    G.rebuild();
 
-    // Round 1: a few iterations, then derive from scratch.
-    Runner R1(RunnerLimits{.IterLimit = 4});
-    R1.run(G, pipelineRules());
-    Extractor Engine(G, Cost);
-    KBestExtractor KEngine(G, Cost, 5);
-
-    // Round 2: keep saturating, then refresh incrementally.
-    Runner R2(RunnerLimits{.IterLimit = 20,
-                           .NodeLimit = 60000,
-                           .TimeLimitSec = 30.0});
-    R2.run(G, pipelineRules());
-    Engine.refresh();
-    KEngine.refresh();
-
-    ReferenceExtractor Oracle(G, Cost);
-    expectOneBestIdentical(G, Engine, Oracle, std::string(Name) + "/refresh");
-    ReferenceKBestExtractor KOracle(G, Cost, 5);
-    expectKBestIdentical(G, KEngine, KOracle,
-                         std::string(Name) + "/refresh");
-    EXPECT_TRUE(termEquals(Engine.extract(Root), Oracle.extract(Root)));
+TEST(LazyKBestTest, SelfLoopClassEnumeratesDeeperPrograms) {
+  // {Unit, Translate(v, self)}: every candidate wraps the previous one.
+  EGraph G;
+  EClassId Root = G.addTerm(tTranslate(1, 2, 3, tUnit()));
+  G.merge(Root, G.addTerm(tUnit()));
+  G.rebuild();
+  AstSizeCost Size;
+  AstDepthCost Depth;
+  expectLazyMatchesOracle(G, Root, Size, "self-loop/ast-size");
+  expectLazyMatchesOracle(G, Root, Depth, "self-loop/depth");
+  KBestExtractor Engine(G, Size, 5);
+  std::vector<RankedTerm> Ranked = Engine.extract(Root);
+  ASSERT_EQ(Ranked.size(), 5u);
+  EXPECT_EQ(Ranked[0].T->kind(), OpKind::Unit);
+  for (size_t I = 1; I < Ranked.size(); ++I) {
+    EXPECT_LT(Ranked[I - 1].Cost, Ranked[I].Cost);
+    EXPECT_TRUE(termEquals(Ranked[I].T->child(1), Ranked[I - 1].T));
   }
 }
 
-TEST(IncrementalExtractTest, RefreshAfterAdversarialMergesMatchesScratch) {
+TEST(LazyKBestTest, TwoCycleClassesMatchOracle) {
+  // Translate(v1, Scale(v2, Unit)) with the Translate merged into Unit's
+  // class: {Unit, Translate(v1, S)} and S = {Scale(v2, that class)}, a
+  // cycle through a class with no leaf. Merging Sphere into S as well
+  // gives both classes a leaf.
+  AstSizeCost Size;
+  AstDepthCost Depth;
+  for (bool LeafInBoth : {false, true}) {
+    EGraph G;
+    EClassId Top = G.addTerm(tTranslate(1, 0, 0, tScale(2, 2, 2, tUnit())));
+    EClassId Scale = G.addTerm(tScale(2, 2, 2, tUnit()));
+    G.merge(Top, G.addTerm(tUnit()));
+    if (LeafInBoth)
+      G.merge(Scale, G.addTerm(tSphere()));
+    G.rebuild();
+    ASSERT_EQ(G.checkInvariants(), "");
+    const std::string Tag = LeafInBoth ? "two-cycle/leaves" : "two-cycle";
+    expectLazyMatchesOracle(G, Top, Size, Tag + "/ast-size");
+    expectLazyMatchesOracle(G, Top, Depth, Tag + "/depth");
+    expectLazyMatchesOracle(G, Scale, Size, Tag + "/ast-size/scale-root");
+  }
+}
+
+TEST(LazyKBestTest, AdversarialMergesMatchOracle) {
+  // Random merges over a shared pool build cycles of every length; a
+  // fresh engine after each batch must land on the oracle's lists.
   AstSizeCost Cost;
   for (int Seed = 0; Seed < 6; ++Seed) {
     Rng R(static_cast<uint64_t>(Seed) * 131 + 29);
     EGraph G;
     std::vector<EClassId> Pool = buildMergePool(G);
-    auto Engine = std::make_unique<Extractor>(G, Cost);
-    auto KEngine = std::make_unique<KBestExtractor>(G, Cost, 4);
-
     for (int Step = 0; Step < 12; ++Step) {
       G.merge(Pool[R.nextBelow(Pool.size())], Pool[R.nextBelow(Pool.size())]);
-      if (Step % 2 == 0) { // batch some merges before rebuilding
-        G.rebuild();
-        Engine->refresh();
-        KEngine->refresh();
-        ReferenceExtractor Oracle(G, Cost);
-        expectOneBestIdentical(G, *Engine, Oracle,
-                               "merge seed " + std::to_string(Seed) +
-                                   " step " + std::to_string(Step));
-        ReferenceKBestExtractor KOracle(G, Cost, 4);
-        expectKBestIdentical(G, *KEngine, KOracle,
-                             "merge seed " + std::to_string(Seed) + " step " +
-                                 std::to_string(Step));
-      }
+      if (Step % 2 != 0)
+        continue; // batch some merges before rebuilding
+      G.rebuild();
+      const std::string Tag =
+          "merge seed " + std::to_string(Seed) + " step " +
+          std::to_string(Step);
+      Extractor Engine(G, Cost);
+      ReferenceExtractor Oracle(G, Cost);
+      expectOneBestIdentical(G, Engine, Oracle, Tag);
+      KBestExtractor KEngine(G, Cost, 4);
+      ReferenceKBestExtractor KOracle(G, Cost, 4);
+      expectKBestIdentical(G.classIds(), KEngine, KOracle, Tag);
     }
   }
 }
 
-TEST(IncrementalExtractTest, RefreshSeesNewClassesAndFoldedConstants) {
-  AstSizeCost Cost;
-  EGraph G;
-  EClassId Root = G.addTerm(tUnion(tUnit(), tSphere()));
-  G.rebuild();
-  Extractor Engine(G, Cost);
-  KBestExtractor KEngine(G, Cost, 3);
-  ASSERT_EQ(*Engine.bestCost(Root), 3.0);
-
-  // Grow the graph: a constant-folding class, and a cheaper alternative
-  // merged into the root.
-  EClassId Sum = G.addTerm(tAdd(tFloat(1.5), tFloat(2.5)));
-  EClassId Unit = G.addTerm(tUnit());
-  G.merge(Root, Unit);
-  G.rebuild();
-  Engine.refresh();
-  KEngine.refresh();
-
-  EXPECT_EQ(*Engine.bestCost(Root), 1.0);
-  EXPECT_EQ(Engine.extract(Root)->kind(), OpKind::Unit);
-  EXPECT_EQ(*Engine.bestCost(Sum), 1.0); // the materialized literal
-  EXPECT_EQ(Engine.extract(Sum)->op().numericValue(), 4.0);
-
-  ReferenceExtractor Oracle(G, Cost);
-  expectOneBestIdentical(G, Engine, Oracle, "grown graph");
-  ReferenceKBestExtractor KOracle(G, Cost, 3);
-  expectKBestIdentical(G, KEngine, KOracle, "grown graph");
-}
-
-TEST(IncrementalExtractTest, NoOpRefreshIsStable) {
+TEST(LazyKBestTest, RepeatedExtractIsStable) {
   AstSizeCost Cost;
   EGraph G;
   EClassId Root = saturate(G, models::modelByName("3362402:gear").FlatCsg, 6);
   KBestExtractor Engine(G, Cost, 5);
   std::vector<RankedTerm> Before = Engine.extract(Root);
-  Engine.refresh(); // generation unchanged: must be a no-op
+  const size_t Rows = Engine.rowsInterned();
   std::vector<RankedTerm> After = Engine.extract(Root);
+  EXPECT_EQ(Engine.rowsInterned(), Rows); // the second call derives nothing
   ASSERT_EQ(Before.size(), After.size());
   for (size_t I = 0; I < Before.size(); ++I) {
     EXPECT_EQ(Before[I].Cost, After[I].Cost);
     EXPECT_TRUE(termEquals(Before[I].T, After[I].T));
   }
+}
+
+TEST(LazyKBestTest, DeepSpinesExtractWithoutRecursion) {
+  // 5,000 translated cubes as a Union chain and as a Cons list. Unit's
+  // class also holds Union(Unit, Empty), so every element has
+  // alternatives and the root's later candidates send requests all the
+  // way down the spine.
+  constexpr int N = 5000;
+  std::vector<TermPtr> Elems;
+  for (int I = 0; I < N; ++I)
+    Elems.push_back(tTranslate(I, 0, 0, tUnit()));
+  AstSizeCost Cost;
+  for (bool AsList : {false, true}) {
+    EGraph G;
+    EClassId Root = G.addTerm(AsList ? tList(Elems) : tUnionAll(Elems));
+    EClassId Unit = G.addTerm(tUnit());
+    G.merge(Unit, G.addTerm(tUnion(tUnit(), tEmpty())));
+    G.rebuild();
+    Extractor OneBest(G, Cost);
+    KBestExtractor Engine(G, Cost, 5);
+    std::vector<RankedTerm> Ranked = Engine.extract(Root);
+    ASSERT_EQ(Ranked.size(), 5u) << (AsList ? "list" : "union");
+    EXPECT_EQ(Ranked[0].Cost, *OneBest.bestCost(Root));
+    // One Unit respelled as Union(Unit, Empty) adds two nodes.
+    for (size_t I = 1; I < Ranked.size(); ++I)
+      EXPECT_EQ(Ranked[I].Cost, Ranked[0].Cost + 2.0);
+  }
+}
+
+TEST(LazyKBestTest, GearTopFiveTouchesFewRows) {
+  // The root's top 5 need candidates of a few classes only: 555 rows on
+  // this graph, where deriving a 5-best list for every class made 11,125.
+  AstSizeCost Cost;
+  EGraph G;
+  EClassId Root = G.addTerm(models::modelByName("3362402:gear").FlatCsg);
+  G.rebuild();
+  Runner().run(G, pipelineRules());
+  KBestExtractor Engine(G, Cost, 5);
+  ASSERT_EQ(Engine.extract(Root).size(), 5u);
+  EXPECT_LT(Engine.rowsInterned(), 1000u);
 }

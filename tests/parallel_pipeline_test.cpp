@@ -9,8 +9,7 @@
 //
 //  * saturation differential: NumThreads 1/2/4/8 over every bench model;
 //  * rerun determinism at a fixed thread count;
-//  * end-to-end synthesis differential;
-//  * extraction-table compaction under long merge churn.
+//  * end-to-end synthesis differential.
 //
 //===----------------------------------------------------------------------===//
 
@@ -104,37 +103,3 @@ TEST(ParallelPipelineDifferentialTest, SynthesisIdenticalAcrossThreads) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Extraction-table compaction
-//===----------------------------------------------------------------------===//
-
-TEST(ExtractTableCompactionTest, StaleRowsAreSweptUnderMergeChurn) {
-  // 200 distinct Var leaves merged down to one class, one merge per
-  // refresh: each merge strands the loser's candidate row under a
-  // superseded key. Without compaction the tables would keep all ~200
-  // rows while only one class stays live.
-  EGraph G;
-  std::vector<EClassId> Leaves;
-  for (int I = 0; I < 200; ++I)
-    Leaves.push_back(
-        G.addTerm(parseSexp("(Var a" + std::to_string(I) + ")").Value));
-  G.rebuild();
-  AstSizeCost Cost;
-  Extractor One(G, Cost);
-  KBestExtractor E(G, Cost, 3);
-  for (size_t I = 1; I < Leaves.size(); ++I) {
-    G.merge(Leaves[0], Leaves[I]);
-    G.rebuild();
-    One.refresh();
-    E.refresh();
-    EXPECT_LE(One.tableEntries(), 2 * G.numClasses())
-        << "one-best table unbounded after merge " << I;
-    EXPECT_LE(E.tableEntries(), 2 * G.numClasses())
-        << "k-best table unbounded after merge " << I;
-  }
-  EXPECT_EQ(G.numClasses(), 1u);
-  // The survivor still extracts correctly after every sweep.
-  std::vector<RankedTerm> Progs = E.extract(Leaves[0]);
-  ASSERT_EQ(Progs.size(), 3u);
-  EXPECT_EQ(printSexp(Progs[0].T), "(Var a0)");
-}

@@ -17,17 +17,15 @@
 //  * cancellation: a fired token short-circuits the pipeline between
 //    stages and inside the trig frequency scan, and a cancelled synthesis
 //    still returns a well-formed partial result;
-//  * incremental extraction refresh across fold-site-like mutations, both
-//    refreshed after each site and refreshed once after all of them (the
-//    synthesizer's once-per-round pattern), stays bit-identical to the
-//    from-scratch fixed-point oracle;
+//  * extraction after fold-site-like mutations stays bit-identical to
+//    the fixed-point oracle;
 //  * dedup-aware determinization (UniqueElements) and solver-module
 //    attribution (InferenceRecord::Modules).
 //
 //===----------------------------------------------------------------------===//
 
 #include "cad/Sexp.h"
-#include "egraph/Extract.h"
+#include "ExtractOracle.h"
 #include "egraph/Runner.h"
 #include "models/Models.h"
 #include "rewrites/Rules.h"
@@ -589,12 +587,12 @@ TEST(SolverPipeline, CancelledSynthesisReturnsPartialResult) {
 }
 
 //===----------------------------------------------------------------------===//
-// Extraction refresh across fold-site insertions vs. the fixed-point oracle
+// Extraction after fold-site insertions vs. the fixed-point oracle
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void expectKBestMatchesOracle(const EGraph &G, const KBestExtractor &Engine,
+void expectKBestMatchesOracle(const EGraph &G, KBestExtractor &Engine,
                               size_t K, const std::string &Tag) {
   static const AstSizeCost Cost;
   ReferenceKBestExtractor Ref(G, Cost, K);
@@ -638,32 +636,14 @@ struct FoldSiteFixture {
 
 } // namespace
 
-TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
-  // The synthesizer refreshes once per round, but the engine also
-  // supports refreshing after every mutation; replay that access pattern
-  // — create early, mutate, refresh, extract — against the fixed-point
-  // oracle after each step.
+TEST(FoldSiteExtraction, MatchesOracleAfterAllSites) {
+  // Every fold site inserts and merges into the root, then one engine is
+  // built on the final graph, as the synthesizer does.
   FoldSiteFixture F;
   static const AstSizeCost Cost;
-  KBestExtractor Engine(F.G, Cost, 5);
-  expectKBestMatchesOracle(F.G, Engine, 5, "post-saturation");
-
-  for (size_t I = 0; I < F.Sites.size(); ++I) {
-    F.insertSite(I);
-    Engine.refresh();
-    expectKBestMatchesOracle(F.G, Engine, 5, "site " + std::to_string(I));
-  }
-}
-
-TEST(ExtractRefresh, OneRefreshAfterAllSitesMatchesOracle) {
-  // An engine synced with the saturated graph, then every fold site
-  // inserts, and one refresh walks the whole round's dirty log.
-  FoldSiteFixture F;
-  static const AstSizeCost Cost;
-  KBestExtractor Engine(F.G, Cost, 5);
   for (size_t I = 0; I < F.Sites.size(); ++I)
     F.insertSite(I);
-  Engine.refresh();
+  KBestExtractor Engine(F.G, Cost, 5);
   expectKBestMatchesOracle(F.G, Engine, 5, "after all sites");
 }
 

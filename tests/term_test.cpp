@@ -109,6 +109,21 @@ TEST(TermTest, IsFlatCsgRejectsSymbolicVectors) {
   EXPECT_FALSE(isFlatCsg(T));
 }
 
+TEST(TermTest, IsFlatCsgWalksA200000DeepChainIteratively) {
+  // The service checks every submitted term; a recursive walk overflowed
+  // the stack on chains this deep.
+  // Left-nested, so the deep side is not the last operand either.
+  TermPtr Chain = tUnit();
+  for (int I = 0; I < 200000; ++I)
+    Chain = tUnion(Chain, tTranslate(I, 0, 0, tUnit()));
+  EXPECT_TRUE(isFlatCsg(Chain));
+  // One non-flat leaf at the very bottom still rejects the whole chain.
+  TermPtr Bad = tVar("i");
+  for (int I = 0; I < 200000; ++I)
+    Bad = tUnion(Bad, tTranslate(I, 0, 0, tUnit()));
+  EXPECT_FALSE(isFlatCsg(Bad));
+}
+
 TEST(TermTest, ContainsLoopDetectsCombinators) {
   EXPECT_TRUE(containsLoop(tRepeat(tUnit(), tInt(2))));
   EXPECT_TRUE(containsLoop(

@@ -80,9 +80,9 @@ IDENTITY_FIELDS = ("family", "n", "model", "kind", "iter", "rule")
 # current, and above the min-time floor). time_sec is the end-to-end row
 # time; rewrite_sec isolates the saturation phase so a rewrite-engine
 # regression on a tail model cannot hide behind an extraction win;
-# extract_sec gates the k-best engine, which a synthesis syncs once per
-# main-loop round, so redundant re-derivation shows up here even on rows
-# whose total stays within the threshold; rewrite_apply_sec
+# extract_sec gates the k-best engine (construction + extract(root)), so
+# an extraction slowdown shows up here even on rows whose total stays
+# within the threshold; rewrite_apply_sec
 # gates the Runner's serial apply phase. Under --against-best
 # each of these is compared with its own best committed value.
 GATED_FIELDS = ("time_sec", "rewrite_sec", "extract_sec", "rewrite_apply_sec")
