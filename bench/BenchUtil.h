@@ -268,8 +268,25 @@ struct MeasuredRow {
   double SolvePreprocessSec = 0.0;
   double SolvePruneSec = 0.0;
   double SolveFitSec = 0.0;
+  uint64_t ENodes = 0; ///< final e-graph size (not a Table 1 column)
   size_t Rank = 0; ///< 1-based rank of first structured program; 0 = none
   bool Sound = false;
+
+  /// A row holding only \p S's wall clock and phase times.
+  static MeasuredRow timesOf(const SynthesisStats &S) {
+    MeasuredRow Row;
+    Row.TimeSec = S.Seconds;
+    Row.RewriteSec = S.RewriteSeconds;
+    Row.SolveSec = S.SolveSeconds;
+    Row.ExtractSec = S.ExtractSeconds;
+    Row.RewriteSearchSec = S.RewriteSearchSeconds;
+    Row.RewriteApplySec = S.RewriteApplySeconds;
+    Row.RewriteRebuildSec = S.RewriteRebuildSeconds;
+    Row.SolvePreprocessSec = S.SolvePreprocessSeconds;
+    Row.SolvePruneSec = S.SolvePruneSeconds;
+    Row.SolveFitSec = S.SolveFitSeconds;
+    return Row;
+  }
 
   /// Adds \p Other's wall clock and every phase field above to this row
   /// (a harness that bills a second run to the same row uses this, so no
@@ -299,16 +316,8 @@ inline MeasuredRow measureModel(const TermPtr &Input,
   Row.InputDepth = termDepth(Input);
 
   SynthesisResult R = Synthesizer(Opts).synthesize(Input);
-  Row.TimeSec = R.Stats.Seconds;
-  Row.RewriteSec = R.Stats.RewriteSeconds;
-  Row.SolveSec = R.Stats.SolveSeconds;
-  Row.ExtractSec = R.Stats.ExtractSeconds;
-  Row.RewriteSearchSec = R.Stats.RewriteSearchSeconds;
-  Row.RewriteApplySec = R.Stats.RewriteApplySeconds;
-  Row.RewriteRebuildSec = R.Stats.RewriteRebuildSeconds;
-  Row.SolvePreprocessSec = R.Stats.SolvePreprocessSeconds;
-  Row.SolvePruneSec = R.Stats.SolvePruneSeconds;
-  Row.SolveFitSec = R.Stats.SolveFitSeconds;
+  Row.addTimes(MeasuredRow::timesOf(R.Stats));
+  Row.ENodes = R.Stats.ENodes;
   if (R.Programs.empty())
     return Row;
 

@@ -10,10 +10,21 @@
 // (13/16) of models. The final row re-runs 510849:wardrobe with the
 // reward-loops cost (the paper's wardrobe@ row).
 //
+// One synthesis of a model takes 0.5-25 ms, under tools/bench_diff.py's
+// 0.05 s floor, so each model row (kind synth_passes) repeats its runs for
+// passes = ceil(PassBudget / final e-nodes), a count fixed by the graph and
+// not by the clock. time_sec and the phase fields are totals over the
+// passes (0.15-0.8 s on a 4-core VM, so the gate compares them and a slower
+// pipeline shows as a larger total); pass_median_sec is the median pass,
+// and the printed t(s) column. The kind is a new name: the single-pass
+// rows of earlier versions must not serve as their baseline.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "models/Models.h"
+
+#include <algorithm>
 
 using namespace shrinkray;
 using namespace shrinkray::bench;
@@ -29,9 +40,14 @@ void printHeader() {
   printRule();
 }
 
-void printMeasured(const std::string &Name, const MeasuredRow &Row) {
+/// Synthesis passes per model row: ceil(PassBudget / final e-nodes). A
+/// pass costs about 2-7 us per e-node here.
+constexpr uint64_t PassBudget = 60000;
+
+void printMeasured(const std::string &Name, const MeasuredRow &Row,
+                   double Seconds) {
   std::printf("%-24s | %5llu %5llu | %4llu %4llu | %4llu %4llu | %-12s "
-              "%-10s | %7.2f | %2zu | %5s\n",
+              "%-10s | %7.4f | %2zu | %5s\n",
               Name.c_str(),
               static_cast<unsigned long long>(Row.InputNodes),
               static_cast<unsigned long long>(Row.OutputNodes),
@@ -39,7 +55,7 @@ void printMeasured(const std::string &Name, const MeasuredRow &Row) {
               static_cast<unsigned long long>(Row.OutputPrims),
               static_cast<unsigned long long>(Row.InputDepth),
               static_cast<unsigned long long>(Row.OutputDepth),
-              Row.Loops.c_str(), Row.Forms.c_str(), Row.TimeSec, Row.Rank,
+              Row.Loops.c_str(), Row.Forms.c_str(), Seconds, Row.Rank,
               Row.Sound ? "yes" : "NO");
 }
 
@@ -49,6 +65,29 @@ void printPaper(const PaperRow &P) {
               "  (paper)", P.InputNodes, P.OutputNodes, P.InputPrims,
               P.OutputPrims, P.InputDepth, P.OutputDepth, P.Loops.c_str(),
               P.Forms.c_str(), P.TimeSec, P.Rank);
+}
+
+/// Runs ceil(PassBudget / \p ENodes) passes of \p Input, each pass one
+/// synthesis under every option set of \p Opts, and bills them all to
+/// \p Row. The first pass is the run already billed to \p Row (measureModel
+/// and its reward-loops fallback). Returns the pass count and median pass.
+std::pair<uint64_t, double>
+repeatPasses(const TermPtr &Input, const std::vector<SynthesisOptions> &Opts,
+             uint64_t ENodes, MeasuredRow &Row) {
+  const uint64_t Passes = (PassBudget + ENodes - 1) / ENodes;
+  std::vector<double> Times = {Row.TimeSec};
+  for (uint64_t I = 1; I < Passes; ++I) {
+    double Pass = 0.0;
+    for (const SynthesisOptions &O : Opts) {
+      const MeasuredRow Run =
+          MeasuredRow::timesOf(Synthesizer(O).synthesize(Input).Stats);
+      Pass += Run.TimeSec;
+      Row.addTimes(Run);
+    }
+    Times.push_back(Pass);
+  }
+  std::sort(Times.begin(), Times.end());
+  return {Passes, Times[Times.size() / 2]};
 }
 
 } // namespace
@@ -66,8 +105,8 @@ int main() {
   std::vector<BenchmarkModel> Corpus = allModels();
 
   for (const BenchmarkModel &M : Corpus) {
-    SynthesisOptions Opts;
-    MeasuredRow Row = measureModel(M.FlatCsg, Opts);
+    std::vector<SynthesisOptions> RowOpts(1);
+    MeasuredRow Row = measureModel(M.FlatCsg, RowOpts[0]);
     // Small-repetition models need the reward-loops cost to *rank* their
     // loops into top-5 (see DESIGN.md); sizes still reported from the
     // default run.
@@ -80,19 +119,24 @@ int main() {
         Row.Loops = LoopRow.Loops + " (rl)";
         Row.Forms = LoopRow.Forms;
         Row.addTimes(LoopRow);
+        RowOpts.push_back(LoopOpts);
       }
     }
-    printMeasured(M.Name + (M.Provenance == 'T' ? " [T]" : " [I]"), Row);
+    const auto [Passes, Median] =
+        repeatPasses(M.FlatCsg, RowOpts, Row.ENodes, Row);
+    printMeasured(M.Name + (M.Provenance == 'T' ? " [T]" : " [I]"), Row,
+                  Median);
     printPaper(M.Paper);
     JsonObject &JRow = Report.row();
-    JRow.add("model", M.Name);
+    JRow.add("model", M.Name).add("kind", "synth_passes");
     addMeasuredFields(JRow, Row);
+    JRow.add("pass_median_sec", Median).add("passes", Passes);
     addResourceFields(JRow);
 
     SumReduction += reductionPct(Row.InputNodes, Row.OutputNodes);
     SumDepthReduction += reductionPct(Row.InputDepth, Row.OutputDepth);
     SumPrimReduction += reductionPct(Row.InputPrims, Row.OutputPrims);
-    SumTime += Row.TimeSec;
+    SumTime += Median;
     Structured += Row.Rank > 0 ? 1 : 0;
     SoundCount += Row.Sound ? 1 : 0;
   }
@@ -111,7 +155,7 @@ int main() {
               100.0 * Structured / N);
   std::printf("soundness (sampling)    : %d/%zu\n", SoundCount,
               Corpus.size());
-  std::printf("total time              : %.1f s\n", SumTime);
+  std::printf("total time (pass medians): %.3f s\n", SumTime);
 
   // The wardrobe@ row: reward-loops exposes structure at the cost of size.
   std::printf("\n== 510849:wardrobe@ (reward-loops cost, paper Sec. 6.1) "
@@ -121,7 +165,7 @@ int main() {
   LoopOpts.Cost = CostKind::RewardLoops;
   MeasuredRow AtRow = measureModel(Wardrobe.FlatCsg, LoopOpts);
   printHeader();
-  printMeasured("510849:wardrobe@", AtRow);
+  printMeasured("510849:wardrobe@", AtRow, AtRow.TimeSec);
   std::printf("%-24s | %5d %5d | %4d %4d | %4d %4d | %-12s %-10s | %7.2f "
               "| %2d |\n",
               "  (paper)", 149, 185, 15, 13, 11, 15, "n1,3; n1,3",

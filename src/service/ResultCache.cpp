@@ -69,7 +69,11 @@ uint64_t service::ruleDatabaseFingerprint(const std::vector<Rewrite> &Rules) {
 
 uint64_t service::optionsFingerprint(const SynthesisOptions &Opts) {
   Fnv1a F;
-  F.u64(2); // options-fingerprint schema version
+  // Options-fingerprint schema version. Bump it whenever the same options
+  // can give different programs, so that entries from older builds miss.
+  // 3: suffix sites of a list that fits are no longer solved, which can
+  // change ranks 2-5.
+  F.u64(3);
   F.u64(Opts.Limits.IterLimit)
       .u64(Opts.Limits.NodeLimit)
       .f64(Opts.Limits.TimeLimitSec)

@@ -17,11 +17,13 @@
 #include "rewrites/Rules.h"
 #include "solvers/Preprocess.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace shrinkray;
 
@@ -99,14 +101,21 @@ std::vector<FoldSite> shrinkray::locateFoldSites(const EGraph &G,
     if (!Inserted && *Len > It->second.second)
       It->second = {ListClass, *Len};
   }
-  std::vector<FoldSite> Sites;
+  // Longest spine first (ties in fold class order), so that the site loop
+  // solves a whole list before its suffixes, and so that the cap drops the
+  // shortest lists rather than the highest class ids.
+  std::vector<std::pair<FoldSite, size_t>> Ranked;
   std::set<EClassId> SeenLists;
-  for (const auto &[FoldClass, Best] : BestPerFold) {
-    if (Sites.size() >= MaxSites)
-      break;
+  for (const auto &[FoldClass, Best] : BestPerFold)
     if (SeenLists.insert(Best.first).second)
-      Sites.push_back({FoldClass, Best.first});
-  }
+      Ranked.push_back({{FoldClass, Best.first}, Best.second});
+  std::stable_sort(Ranked.begin(), Ranked.end(),
+                   [](const auto &A, const auto &B) {
+                     return A.second > B.second;
+                   });
+  std::vector<FoldSite> Sites;
+  for (size_t I = 0; I < Ranked.size() && I < MaxSites; ++I)
+    Sites.push_back(Ranked[I].first);
   return Sites;
 }
 
@@ -179,20 +188,47 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
     const auto SolveStart = Clock::now();
 
     // --- Locate fold contexts -------------------------------------------
-    // One site per fold class, its longest list; the scan walks each list
-    // spine once (locateFoldSites).
+    // One site per fold class, its longest list, longest lists first; the
+    // scan walks each list spine once (locateFoldSites).
+    //
+    // Fold extension leaves every proper suffix of a list as the list of an
+    // inner union's fold class, so each suffix is a site of its own. Once a
+    // Mapi fits a site's own list, every tail class along its spine is
+    // covered and its site is skipped: a closed form that fits indices
+    // 0..n-1 fits each suffix after an index shift, so the suffix programs
+    // would only lose to the whole-list one. Skipping a site removes
+    // alternatives, never soundness, since inference only adds verified
+    // equivalences. A list that does not fit leaves its tails uncovered,
+    // so a regular run in a suffix (gear's teeth after its body, Fig. 16's
+    // partial repetition) is still found at that suffix's site.
     const std::vector<FoldSite> Sites = locateFoldSites(G, Opts.MaxFoldSites);
-    Result.Stats.FoldSites = Sites.size();
+    std::unordered_set<EClassId> Covered;
+    auto coverTails = [&](EClassId List) {
+      for (EClassId Cur = G.find(List);;) {
+        const ENode *N = spineNode(G, Cur);
+        if (!N || N->kind() == OpKind::Nil)
+          return;
+        Cur = G.find(N->child(1));
+        if (!Covered.insert(Cur).second)
+          return; // already covered from a longer list, or a cycle
+      }
+    };
 
     // --- Determinize, sort, and solve each context (Fig. 5 lines 5-7) ---
     for (const auto &[FoldClass, ListClass] : Sites) {
       if (cancelled())
         break;
+      if (Covered.count(G.find(ListClass)))
+        continue;
+      ++Result.Stats.FoldSites;
+      bool Fits = false;
       std::vector<ChainDecomposition> Ds = determinize(G, ListClass);
       Result.Stats.Decompositions += Ds.size();
       for (const ChainDecomposition &D : Ds) {
-        for (InferenceRecord &R : inferFunctions(G, ListClass, D, Solver))
+        for (InferenceRecord &R : inferFunctions(G, ListClass, D, Solver)) {
+          Fits = true;
           Result.Stats.Records.push_back(std::move(R));
+        }
         if (Opts.EnableLoopInference)
           for (InferenceRecord &R : inferLoops(G, ListClass, D, Solver))
             Result.Stats.Records.push_back(std::move(R));
@@ -222,6 +258,8 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
         }
       }
       G.rebuild();
+      if (Fits)
+        coverTails(ListClass);
     }
     Result.Stats.SolveSeconds =
         std::chrono::duration<double>(Clock::now() - SolveStart).count();
@@ -260,28 +298,36 @@ namespace {
 struct LoopWalk {
   std::vector<std::string> Loops;
   bool SawTheta = false, SawD2 = false, SawD1 = false;
+  /// Pending subterms; both walks use explicit stacks, so a program's depth
+  /// is bounded by memory rather than by the thread's stack.
+  std::vector<const Term *> Todo;
 
   /// Scans an arithmetic subterm for the closed-form class it realizes.
-  void scanForms(const TermPtr &T) {
-    switch (T->kind()) {
-    case OpKind::Sin:
-    case OpKind::Cos:
-      SawTheta = true;
-      break;
-    case OpKind::Mul:
-      // i * i (or expressions containing it) signal a quadratic.
-      if (termEquals(T->child(0), T->child(1)) &&
-          T->child(0)->kind() == OpKind::Var)
-        SawD2 = true;
-      break;
-    case OpKind::Var:
-      SawD1 = true;
-      break;
-    default:
-      break;
+  void scanForms(const Term *Root) {
+    std::vector<const Term *> Stack{Root};
+    while (!Stack.empty()) {
+      const Term *T = Stack.back();
+      Stack.pop_back();
+      switch (T->kind()) {
+      case OpKind::Sin:
+      case OpKind::Cos:
+        SawTheta = true;
+        break;
+      case OpKind::Mul:
+        // i * i (or expressions containing it) signal a quadratic.
+        if (termEquals(T->child(0), T->child(1)) &&
+            T->child(0)->kind() == OpKind::Var)
+          SawD2 = true;
+        break;
+      case OpKind::Var:
+        SawD1 = true;
+        break;
+      default:
+        break;
+      }
+      for (const TermPtr &Kid : T->children())
+        Stack.push_back(Kid.get());
     }
-    for (const TermPtr &Kid : T->children())
-      scanForms(Kid);
   }
 
   /// Spine length of a literal index list, or -1.
@@ -295,19 +341,31 @@ struct LoopWalk {
     return Cur->kind() == OpKind::Nil ? N : -1;
   }
 
-  void walk(const TermPtr &T) {
+  /// Pre-order, left to right, so Loops lists loops in program order.
+  void walk(const Term *Root) {
+    Todo.push_back(Root);
+    while (!Todo.empty()) {
+      const Term *T = Todo.back();
+      Todo.pop_back();
+      visit(T);
+    }
+  }
+
+  /// Records the loop rooted at \p T, if any, and queues the subterms the
+  /// walk continues under.
+  void visit(const Term *T) {
     // Mapi tower over a Repeat: one loop; its bound is the Repeat count.
     if (T->kind() == OpKind::Mapi) {
-      const Term *Cur = T.get();
+      const Term *Cur = T;
       while (Cur->kind() == OpKind::Mapi) {
-        scanForms(Cur->child(0));
+        scanForms(Cur->child(0).get());
         Cur = Cur->child(1).get();
       }
       if (Cur->kind() == OpKind::Repeat &&
           Cur->child(1)->kind() == OpKind::Int) {
         Loops.push_back("n1," +
                         std::to_string(Cur->child(1)->op().intValue()));
-        walk(Cur->child(0)); // the repeated element
+        Todo.push_back(Cur->child(0).get()); // the repeated element
         return;
       }
       // Mapi over something else: fall through to generic recursion.
@@ -317,7 +375,7 @@ struct LoopWalk {
     if (T->kind() == OpKind::Fold && T->child(0)->kind() == OpKind::Fun &&
         T->child(0)->numChildren() == 2) {
       std::vector<int64_t> Bounds;
-      const Term *Cur = T.get();
+      const Term *Cur = T;
       while (Cur->kind() == OpKind::Fold &&
              Cur->child(0)->kind() == OpKind::Fun &&
              Cur->child(0)->numChildren() == 2) {
@@ -334,12 +392,12 @@ struct LoopWalk {
           Os << "," << B;
         Loops.push_back(Os.str());
         // Continue under the innermost body.
-        scanForms(T->child(0)->child(1));
+        scanForms(T->child(0)->child(1).get());
         return;
       }
     }
-    for (const TermPtr &Kid : T->children())
-      walk(Kid);
+    for (size_t I = T->numChildren(); I > 0; --I)
+      Todo.push_back(T->child(I - 1).get());
   }
 };
 
@@ -347,7 +405,7 @@ struct LoopWalk {
 
 LoopSummary shrinkray::describeLoops(const TermPtr &Program) {
   LoopWalk W;
-  W.walk(Program);
+  W.walk(Program.get());
   LoopSummary Out;
   Out.HasLoops = !W.Loops.empty();
   std::ostringstream Os;

@@ -60,7 +60,8 @@ struct SynthesisStats {
   /// operands; union is idempotent). 0 for duplicate-free inputs, where
   /// canonicalization is the identity.
   size_t DedupedPrimitives = 0;
-  size_t FoldSites = 0;        ///< fold contexts examined
+  size_t FoldSites = 0;        ///< fold contexts examined (solved; sites
+                               ///< covered by a longer fit are skipped)
   size_t Decompositions = 0;   ///< determinized lists solved
   std::vector<InferenceRecord> Records; ///< programs the solvers inserted
   size_t ENodes = 0;           ///< final graph size
@@ -126,8 +127,9 @@ struct FoldSite {
 /// Locates the fold contexts of \p G (paper Fig. 5 line 5): for each fold
 /// class, the list with the longest Cons spine (the first found on a tie;
 /// cyclic and non-list classes are no site). A list shared by several fold
-/// classes is solved once, under the lowest fold class id; at most
-/// \p MaxSites sites are returned, in fold class order.
+/// classes is solved once, under the lowest fold class id. Sites are
+/// returned longest spine first, ties in fold class order, and at most
+/// \p MaxSites of them: the cap keeps the longest lists.
 std::vector<FoldSite> locateFoldSites(const EGraph &G, size_t MaxSites);
 
 /// Syntactic loop summary of a synthesized program (Table 1 columns n-l/f).

@@ -300,6 +300,9 @@ TEST(ResultCacheTest, FingerprintsSeparateResultRelevantOptions) {
   B = A;
   B.Limits.NumThreads = 7;
   EXPECT_EQ(optionsFingerprint(A), optionsFingerprint(B));
+  // The default options under schema version 2, before suffix sites of a
+  // fitted list were skipped: their cached results must not be served.
+  EXPECT_NE(optionsFingerprint(A), 0x819fed3bc0799f8dull);
 }
 
 TEST(ResultCacheTest, InputKeyIsValueLevel) {

@@ -6,6 +6,7 @@
 #include "cad/Sexp.h"
 #include "geom/Sample.h"
 #include "models/Models.h"
+#include "rewrites/Rules.h"
 
 #include <gtest/gtest.h>
 
@@ -404,15 +405,110 @@ TEST(FoldSiteTest, FoldClassKeepsItsLongestList) {
   EXPECT_TRUE(locateFoldSites(G, 0).empty());
 }
 
-TEST(SynthTest, FoldSiteCountsOnTableOneModels) {
-  // Pins which fold contexts the scan selects on three Table 1 models.
-  const std::pair<const char *, size_t> Expected[] = {
-      {"3362402:gear", 61},
-      {"3097951:rasp-pie", 78},
-      {"3432939:nintendo-slot", 31}};
-  for (const auto &[Name, Sites] : Expected) {
-    SynthesisResult R =
-        Synthesizer().synthesize(models::modelByName(Name).FlatCsg);
-    EXPECT_EQ(R.Stats.FoldSites, Sites) << Name;
+TEST(FoldSiteTest, CapKeepsTheLongestLists) {
+  // Five fold classes whose lists grow with their class ids: a cap of two
+  // keeps the two longest, longest first, not the two lowest ids.
+  EGraph G;
+  std::vector<EClassId> Lists;
+  for (int Len = 1; Len <= 5; ++Len) {
+    std::vector<TermPtr> Items;
+    for (int I = 0; I < Len; ++I)
+      Items.push_back(tTranslate(Len, I, 0, tUnit()));
+    Lists.push_back(G.addTerm(tList(Items)));
+    addUnionFold(G, Lists.back());
   }
+  G.rebuild();
+  std::vector<FoldSite> All = locateFoldSites(G, 256);
+  ASSERT_EQ(All.size(), 5u);
+  for (size_t I = 0; I < All.size(); ++I)
+    EXPECT_EQ(All[I].List, G.find(Lists[4 - I])) << I;
+  std::vector<FoldSite> Capped = locateFoldSites(G, 2);
+  ASSERT_EQ(Capped.size(), 2u);
+  EXPECT_EQ(Capped[0].List, G.find(Lists[4]));
+  EXPECT_EQ(Capped[1].List, G.find(Lists[3]));
+}
+
+TEST(SynthTest, FoldSiteCountsOnTableOneModels) {
+  // Pins, on three Table 1 models, how many fold contexts the scan finds
+  // on the saturated graph and how many of them are solved. Every proper
+  // suffix of a list is a site; once a list fits, its suffixes are
+  // skipped (gear: the 61-element list fails, its 60 teeth fit).
+  struct Row {
+    const char *Name;
+    size_t Located, Solved;
+  };
+  const Row Expected[] = {{"3362402:gear", 61, 3},
+                          {"3097951:rasp-pie", 78, 42},
+                          {"3432939:nintendo-slot", 31, 4}};
+  for (const Row &E : Expected) {
+    const TermPtr Input = models::modelByName(E.Name).FlatCsg;
+    EGraph G;
+    G.addTerm(Input);
+    G.rebuild();
+    const std::vector<Rewrite> Rules = pipelineRules();
+    Runner(SynthesisOptions().Limits).run(G, RuleSet(Rules));
+    G.rebuild();
+    EXPECT_EQ(locateFoldSites(G, 256).size(), E.Located) << E.Name;
+    EXPECT_EQ(Synthesizer().synthesize(Input).Stats.FoldSites, E.Solved)
+        << E.Name;
+  }
+}
+
+TEST(SynthTest, RegularChainSolvesOneSite) {
+  // The whole list fits, so none of its suffix sites is solved.
+  for (int N : {5, 12, 30}) {
+    SynthesisResult R = synthesizeChecked(translatedCubes(N));
+    EXPECT_EQ(R.Stats.FoldSites, 1u) << N;
+    EXPECT_EQ(describeLoops(R.best()).Notation, "n1," + std::to_string(N));
+  }
+}
+
+TEST(SynthTest, GearTeethAreFoundInTheSuffixOfTheBody) {
+  // Body + n teeth: the whole list does not fit, so the suffix sites
+  // stay, and the teeth's tail list still gives a rank-1 loop.
+  for (int Teeth : {8, 24}) {
+    SynthesisResult R = synthesizeChecked(models::gearModel(Teeth));
+    EXPECT_EQ(R.structureRank(), 1u) << Teeth;
+    EXPECT_NE(describeLoops(R.best()).Notation.find(
+                  "n1," + std::to_string(Teeth)),
+              std::string::npos)
+        << prettyPrint(R.best());
+  }
+}
+
+TEST(SynthTest, GearSolvesFewSuffixSites) {
+  // Solving all 61 sites inserted 704 programs; the 60 teeth's list
+  // covers its 59 suffixes.
+  SynthesisResult R =
+      Synthesizer().synthesize(models::modelByName("3362402:gear").FlatCsg);
+  EXPECT_LT(R.Stats.Records.size(), 100u);
+}
+
+TEST(SynthTest, HcBitsKeepsStructureUnderRewardLoops) {
+  SynthesisOptions Opts;
+  Opts.Cost = CostKind::RewardLoops;
+  SynthesisResult R = synthesizeChecked(
+      models::modelByName("2921167:hc-bits").FlatCsg, Opts);
+  EXPECT_EQ(R.structureRank(), 1u);
+}
+
+TEST(SynthTest, DescribeLoopsWalksA200000DeepChainIteratively) {
+  // Programs built in code have no depth bound; a recursive walk
+  // overflowed the stack on chains this deep. A loop at the very bottom of
+  // a left-nested Union chain is still found, as is a form at the bottom
+  // of a deep arithmetic body.
+  TermPtr Offset = tVar("i");
+  for (int I = 0; I < 200000; ++I)
+    Offset = tAdd(Offset, tFloat(1));
+  TermPtr Loop =
+      tMapi(tFun({tVar("i"), tVar("c"),
+                  tTranslate(tVec3(Offset, tFloat(0), tFloat(0)), tVar("c"))}),
+            tRepeat(tUnit(), tInt(7)));
+  TermPtr Chain = tFold(tOpRef(OpKind::Union), tEmpty(), Loop);
+  for (int I = 0; I < 200000; ++I)
+    Chain = tUnion(Chain, tTranslate(I, 0, 0, tUnit()));
+  LoopSummary S = describeLoops(Chain);
+  EXPECT_TRUE(S.HasLoops);
+  EXPECT_EQ(S.Notation, "n1,7");
+  EXPECT_EQ(S.Forms, "d1");
 }
