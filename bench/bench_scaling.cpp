@@ -7,8 +7,10 @@
 //   * union chains of n translated cubes (pure fold + solver path), and
 //   * gears with n teeth (the Table 1 depth-62 workload).
 //
-// Reported per size: input nodes/depth, synthesis time, e-graph size, and
-// whether the n1,n loop was recovered at rank 1.
+// Reported per size: input nodes/depth, synthesis time, e-graph size,
+// saturation iterations, and whether the n1,n loop was recovered at rank 1.
+// fold-intro adds a Union spine's whole list in one step, so e-nodes grow
+// linearly in n and the iteration count does not grow with n.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,20 +23,22 @@ using namespace shrinkray::bench;
 int main() {
   JsonReport Report("scaling");
   std::printf("== scalability: union chains of n cubes ==\n\n");
-  std::printf("%6s | %7s | %6s | %8s | %8s | %7s | %s\n", "n", "i-nodes",
-              "i-dep", "time(s)", "e-nodes", "rank", "loops");
-  printRule('-', 70);
-  for (int N : {4, 8, 16, 32, 48, 64}) {
+  std::printf("%6s | %7s | %6s | %8s | %8s | %5s | %7s | %s\n", "n",
+              "i-nodes", "i-dep", "time(s)", "e-nodes", "iters", "rank",
+              "loops");
+  printRule('-', 78);
+  for (int N : {16, 32, 64, 128, 256, 512}) {
     std::vector<TermPtr> Cubes;
     for (int I = 1; I <= N; ++I)
       Cubes.push_back(tTranslate(2.0 * I, 0, 0, tUnit()));
     TermPtr Input = tUnionAll(Cubes);
     SynthesisResult R = Synthesizer().synthesize(Input);
     size_t Rank = R.structureRank();
-    std::printf("%6d | %7llu | %6llu | %8.2f | %8zu | %7zu | %s\n", N,
-                static_cast<unsigned long long>(termSize(Input)),
+    std::printf("%6d | %7llu | %6llu | %8.3f | %8zu | %5zu | %7zu | %s\n",
+                N, static_cast<unsigned long long>(termSize(Input)),
                 static_cast<unsigned long long>(termDepth(Input)),
-                R.Stats.Seconds, R.Stats.ENodes, Rank,
+                R.Stats.Seconds, R.Stats.ENodes,
+                R.Stats.Rewriting.numIterations(), Rank,
                 Rank ? describeLoops(R.Programs[Rank - 1].T).Notation.c_str()
                      : "-");
     Report.row()
@@ -44,21 +48,24 @@ int main() {
         .add("input_depth", termDepth(Input))
         .add("time_sec", R.Stats.Seconds)
         .add("enodes", R.Stats.ENodes)
+        .add("iterations", R.Stats.Rewriting.numIterations())
         .add("rank", Rank);
   }
 
   std::printf("\n== scalability: gears with n teeth (depth ~ n + 5) ==\n\n");
-  std::printf("%6s | %7s | %6s | %8s | %8s | %7s | %s\n", "teeth",
-              "i-nodes", "i-dep", "time(s)", "e-nodes", "rank", "loops");
-  printRule('-', 70);
-  for (int Teeth : {12, 24, 36, 48, 60}) {
+  std::printf("%6s | %7s | %6s | %8s | %8s | %5s | %7s | %s\n", "teeth",
+              "i-nodes", "i-dep", "time(s)", "e-nodes", "iters", "rank",
+              "loops");
+  printRule('-', 78);
+  for (int Teeth : {12, 24, 60, 120, 240, 480}) {
     TermPtr Gear = models::gearModel(Teeth);
     SynthesisResult R = Synthesizer().synthesize(Gear);
     size_t Rank = R.structureRank();
-    std::printf("%6d | %7llu | %6llu | %8.2f | %8zu | %7zu | %s\n", Teeth,
-                static_cast<unsigned long long>(termSize(Gear)),
+    std::printf("%6d | %7llu | %6llu | %8.3f | %8zu | %5zu | %7zu | %s\n",
+                Teeth, static_cast<unsigned long long>(termSize(Gear)),
                 static_cast<unsigned long long>(termDepth(Gear)),
-                R.Stats.Seconds, R.Stats.ENodes, Rank,
+                R.Stats.Seconds, R.Stats.ENodes,
+                R.Stats.Rewriting.numIterations(), Rank,
                 Rank ? describeLoops(R.Programs[Rank - 1].T).Notation.c_str()
                      : "-");
     Report.row()
@@ -68,10 +75,12 @@ int main() {
         .add("input_depth", termDepth(Gear))
         .add("time_sec", R.Stats.Seconds)
         .add("enodes", R.Stats.ENodes)
+        .add("iterations", R.Stats.Rewriting.numIterations())
         .add("rank", Rank);
   }
-  std::printf("\nexpected shape: every row recovers its n1,n loop; the "
-              "depth-65 gear finishes far under the paper's 5-minute "
-              "bound (they report 285 s)\n");
+  std::printf("\nexpected shape: every row recovers its n1,n loop in a "
+              "few iterations, e-nodes grow linearly in n, and the depth-485 "
+              "gear finishes far under the paper's 5-minute bound (they "
+              "report 285 s for depth 65)\n");
   return Report.write() ? 0 : 1;
 }

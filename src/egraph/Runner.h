@@ -56,9 +56,12 @@ namespace shrinkray {
 
 /// Fuel limits for a saturation run.
 struct RunnerLimits {
-  size_t IterLimit = 128;       ///< max saturation iterations (fold
-                                ///< extension linearizes one element per
-                                ///< iteration, so chains need ~n of fuel)
+  size_t IterLimit = 128;       ///< max saturation iterations (fold-intro
+                                ///< adds a right Union spine's whole list
+                                ///< in one step, so a chain's fuel does
+                                ///< not grow with its length; lifting an
+                                ///< affine over a Union still extends one
+                                ///< element per iteration)
   size_t NodeLimit = 200000;    ///< stop when the graph exceeds this size
   double TimeLimitSec = 60.0;   ///< wall-clock budget
   /// Backoff threshold, enforced two ways: a single search that *finds*

@@ -6,6 +6,8 @@
 
 #include <array>
 #include <cmath>
+#include <optional>
+#include <unordered_set>
 
 using namespace shrinkray;
 
@@ -204,12 +206,69 @@ std::vector<Rewrite> shrinkray::collapseRules() {
 // Figure 8d: folds and list normalization
 //===----------------------------------------------------------------------===//
 
+/// Builds `x :: y1 :: ... :: yn :: nil` for `union(x, y)`, where y1..yn-1
+/// are the left operands along y's right Union spine and yn its last right
+/// operand, and returns the class of `fold(union, empty, list)`.
+///
+/// The walk stops at the first class that already holds a union fold and
+/// conses onto that fold's list. Matches are applied inner union first
+/// (classes are indexed in insertion order, children before parents), so
+/// on a right spine every union finds its inner union's list one step down:
+/// each suffix is shared and the whole spine costs O(n) walk and O(n) new
+/// nodes. A Union whose right operand leads back into the walk (a merge
+/// such as union-idem can make a class its own operand) ends it as a leaf.
+static EClassId addSpineFold(EGraph &G, EClassId X, EClassId Y) {
+  const EClassId UnionRef = G.add(ENode(Op::makeOpRef(OpKind::Union), {}));
+  const EClassId Empty = G.add(ENode(Op(OpKind::Empty), {}));
+  // Element and tail class ids are copied out of the node table before the
+  // first add below: insertion invalidates ENode references.
+  std::vector<EClassId> Elems{G.find(X)};
+  std::unordered_set<EClassId> Walked{G.find(Y)};
+  std::optional<EClassId> Tail;
+  EClassId Cur = G.find(Y);
+  for (;;) {
+    std::optional<std::pair<EClassId, EClassId>> Next;
+    for (ENodeId NId : G.eclass(Cur).Nodes) {
+      const ENode &N = G.node(NId);
+      if (N.kind() == OpKind::Fold && G.find(N.child(0)) == UnionRef &&
+          G.find(N.child(1)) == Empty) {
+        Tail = G.find(N.child(2));
+        break;
+      }
+      if (N.kind() == OpKind::Union && !Next)
+        Next = {G.find(N.child(0)), G.find(N.child(1))};
+    }
+    if (Tail || !Next || !Walked.insert(Next->second).second)
+      break;
+    Elems.push_back(Next->first);
+    Cur = Next->second;
+  }
+  if (!Tail) {
+    EClassId Nil = G.add(ENode(Op(OpKind::Nil), {}));
+    Tail = G.add(ENode(Op(OpKind::Cons), {Cur, Nil}));
+  }
+  EClassId List = *Tail;
+  for (size_t I = Elems.size(); I > 0; --I)
+    List = G.add(ENode(Op(OpKind::Cons), {Elems[I - 1], List}));
+  return G.add(ENode(Op(OpKind::Fold), {UnionRef, Empty, List}));
+}
+
 std::vector<Rewrite> shrinkray::foldRules() {
   std::vector<Rewrite> Rules;
 
-  // union(x, y) ~> fold(union, empty, x :: y :: nil)
-  Rules.emplace_back("fold-intro", "(Union ?x ?y)",
-                     "(Fold Union Empty (Cons ?x (Cons ?y Nil)))");
+  // union(x, union(y1, ... union(yn-1, yn))) ~>
+  //   fold(union, empty, x :: y1 :: ... :: yn :: nil)
+  // The paper's rule adds x :: y :: nil and lets fold-cons-right grow it one
+  // element per iteration, which costs a chain of n elements n iterations
+  // and ~n^2 nodes. Adding the whole spine's list at once gives the same
+  // maximal lists in one iteration; the cons rules below still handle left-
+  // and tree-shaped unions, and add nothing on a right spine.
+  const Symbol X("x"), Y("y");
+  Rules.emplace_back(
+      "fold-intro", "(Union ?x ?y)",
+      [=](EGraph &G, EClassId, const Subst &S) -> std::optional<EClassId> {
+        return addSpineFold(G, S[X], S[Y]);
+      });
 
   // union(x, fold(union, y, zs)) ~> fold(union, y, x :: zs)
   Rules.emplace_back("fold-cons-right", "(Union ?x (Fold Union ?y ?zs))",

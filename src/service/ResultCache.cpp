@@ -73,7 +73,9 @@ uint64_t service::optionsFingerprint(const SynthesisOptions &Opts) {
   // can give different programs, so that entries from older builds miss.
   // 3: suffix sites of a list that fits are no longer solved, which can
   // change ranks 2-5.
-  F.u64(3);
+  // 4: fold-intro adds a Union spine's whole list in one step, so spines
+  // longer than the iteration fuel used to reach now give whole loops.
+  F.u64(4);
   F.u64(Opts.Limits.IterLimit)
       .u64(Opts.Limits.NodeLimit)
       .f64(Opts.Limits.TimeLimitSec)

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <unordered_set>
 
@@ -59,51 +60,78 @@ private:
   std::unordered_set<TermPtr> Seen;
 };
 
-TermPtr canonTerm(const TermPtr &T);
+/// One pending subterm of the canonicalization walk.
+///
+/// Every maximal Union tree gets its own operand set: a Union reached
+/// outside a spine opens one (OwnSeen), its Union children share it, and
+/// every other node canonicalizes its children outside any spine. A spine
+/// operand (a non-Union node with a Seen set) is canonicalized first, so
+/// equal operands compare equal even when their internals dedupe
+/// differently, and is dropped (a null result) when already seen.
+struct Frame {
+  const TermPtr *T;                     ///< a child slot of a live term
+  SeenOperands *Seen;                   ///< the enclosing spine's, or null
+  std::unique_ptr<SeenOperands> OwnSeen; ///< set when T opens a spine
+  std::vector<TermPtr> Kids;            ///< finished children, in order
+  bool Changed = false;
+};
 
-/// Walks one Union spine, dropping operands already in \p Seen. Returns
-/// nullptr when every operand of this subtree was a duplicate, and the
+/// The finished form of \p F's term once all its children are done:
+/// nullptr when every operand of a spine subtree was a duplicate, and the
 /// original pointer when nothing changed underneath.
-TermPtr dedupeSpine(const TermPtr &T, SeenOperands &Seen) {
-  if (T->kind() == OpKind::Union) {
-    TermPtr L = dedupeSpine(T->child(0), Seen);
-    TermPtr R = dedupeSpine(T->child(1), Seen);
-    if (!L)
-      return R;
-    if (!R)
-      return L;
-    if (L == T->child(0) && R == T->child(1))
-      return T;
-    return makeTerm(T->op(), {std::move(L), std::move(R)});
+TermPtr finish(Frame &F) {
+  const TermPtr &Orig = *F.T;
+  if (Orig->kind() == OpKind::Union) {
+    TermPtr &L = F.Kids[0], &R = F.Kids[1];
+    if (!L || !R) {
+      // The first operand is always kept, so a spine never vanishes.
+      assert((L || R || !F.OwnSeen) && "union spine deduped to nothing");
+      return L ? std::move(L) : std::move(R);
+    }
+    if (!F.Changed)
+      return Orig;
+    return makeTerm(Orig->op(), std::move(F.Kids));
   }
-  // A spine operand: canonicalize any deeper Union trees first so equal
-  // operands compare equal even when their internals dedupe differently.
-  TermPtr C = canonTerm(T);
-  if (Seen.seenOrRecord(C))
+  TermPtr C = F.Changed ? makeTerm(Orig->op(), std::move(F.Kids)) : Orig;
+  if (F.Seen && F.Seen->seenOrRecord(C))
     return nullptr;
   return C;
 }
 
-/// Recursively canonicalizes \p T: every maximal Union tree gets its own
-/// operand multiset. Returns the original pointer when nothing changed.
-TermPtr canonTerm(const TermPtr &T) {
-  if (T->kind() == OpKind::Union) {
-    SeenOperands Seen;
-    TermPtr Out = dedupeSpine(T, Seen);
-    // The first operand is always kept, so a spine never vanishes.
-    assert(Out && "union spine deduped to nothing");
-    return Out;
+/// Canonicalizes \p Root with an explicit stack, so spine length and
+/// nesting depth are bounded by memory rather than by the thread's stack.
+/// Returns the original pointer when nothing changed.
+TermPtr canonTerm(const TermPtr &Root) {
+  std::vector<Frame> Stack;
+  auto push = [&](const TermPtr &T, SeenOperands *Seen) {
+    Frame F{&T, Seen, nullptr, {}, false};
+    if (T->kind() == OpKind::Union && !Seen) {
+      F.OwnSeen = std::make_unique<SeenOperands>();
+      F.Seen = F.OwnSeen.get();
+    }
+    F.Kids.reserve(T->numChildren());
+    Stack.push_back(std::move(F));
+  };
+  push(Root, nullptr);
+  TermPtr Done;
+  while (true) {
+    Frame &F = Stack.back();
+    const Term &T = **F.T;
+    if (F.Kids.size() < T.numChildren()) {
+      // Union children stay in the spine; any other node's children are
+      // canonicalized on their own.
+      push(T.child(F.Kids.size()),
+           T.kind() == OpKind::Union ? F.Seen : nullptr);
+      continue;
+    }
+    Done = finish(F);
+    Stack.pop_back();
+    if (Stack.empty())
+      return Done;
+    Frame &Parent = Stack.back();
+    Parent.Changed |= Done != (*Parent.T)->child(Parent.Kids.size());
+    Parent.Kids.push_back(std::move(Done));
   }
-  std::vector<TermPtr> Kids;
-  bool Changed = false;
-  Kids.reserve(T->numChildren());
-  for (const TermPtr &Kid : T->children()) {
-    Kids.push_back(canonTerm(Kid));
-    Changed |= Kids.back() != Kid;
-  }
-  if (!Changed)
-    return T;
-  return makeTerm(T->op(), std::move(Kids));
 }
 
 } // namespace

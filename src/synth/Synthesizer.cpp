@@ -81,10 +81,10 @@ std::vector<FoldSite> shrinkray::locateFoldSites(const EGraph &G,
     return Len;
   };
 
-  // A fold class accumulates one Fold node per extension step, so it can
-  // reference many list variants (length 2, 3, ..., n). Only the longest
-  // spine is worth solving: the shorter ones are strict sub-lists whose
-  // structure the full solution subsumes, while genuinely partial
+  // A fold class can reference several list variants (left-nested and
+  // tree-shaped unions grow theirs one element per iteration). Only the
+  // longest spine is worth solving: the shorter ones are strict sub-lists
+  // whose structure the full solution subsumes, while genuinely partial
   // repetition (e.g. Figure 16) lives in *different* fold classes.
   // search() seeds its candidates from the operator-head index, so this
   // scan is proportional to fold sites rather than graph size.
@@ -117,6 +117,60 @@ std::vector<FoldSite> shrinkray::locateFoldSites(const EGraph &G,
   for (size_t I = 0; I < Ranked.size() && I < MaxSites; ++I)
     Sites.push_back(Ranked[I].first);
   return Sites;
+}
+
+/// Gives every Union ancestor U_j of each class U_k in \p Solved the list
+/// [x_j, ..., x_{k-1}, U_k], where x_j..x_{k-1} are the left operands on
+/// the right Union spine from U_j down to U_k. fold-intro gives each union
+/// only its whole-spine list; extraction needs these prefix variants where
+/// U_k holds an inferred program (the dice's three spheres consed onto the
+/// union holding its two loops). They are sound for the same reason as the
+/// spine lists: U_j is the union of x_j..x_{k-1} and U_k. One Cons and one
+/// Fold per ancestor.
+static void addPrefixLists(EGraph &G, const std::vector<EClassId> &Solved) {
+  // Read every ancestor before the first add: a step is an ancestor class,
+  // its left operand, and the step one level down (npos: the solved class).
+  struct Step {
+    EClassId Ancestor, Elem, Source;
+    size_t Below;
+  };
+  constexpr size_t Npos = static_cast<size_t>(-1);
+  std::vector<Step> Steps;
+  for (EClassId Src : Solved) {
+    const EClassId Source = G.find(Src);
+    std::unordered_set<EClassId> Seen{Source};
+    auto expand = [&](EClassId Cur, size_t Below) {
+      for (ENodeId NId : G.canonicalParents(Cur)) {
+        const ENode &N = G.node(NId);
+        if (N.kind() != OpKind::Union || G.find(N.child(1)) != Cur)
+          continue;
+        const EClassId Up = G.nodeClass(NId);
+        if (Seen.insert(Up).second)
+          Steps.push_back({Up, G.find(N.child(0)), Source, Below});
+      }
+    };
+    const size_t First = Steps.size();
+    expand(Source, Npos);
+    for (size_t I = First; I < Steps.size(); ++I)
+      expand(Steps[I].Ancestor, I);
+  }
+  if (Steps.empty())
+    return;
+
+  const EClassId UnionRef = G.add(ENode(Op::makeOpRef(OpKind::Union), {}));
+  const EClassId Empty = G.add(ENode(Op(OpKind::Empty), {}));
+  const EClassId Nil = G.add(ENode(Op(OpKind::Nil), {}));
+  std::vector<EClassId> Lists(Steps.size());
+  for (size_t I = 0; I < Steps.size(); ++I) {
+    const Step &S = Steps[I];
+    const EClassId Tail =
+        S.Below == Npos ? G.add(ENode(Op(OpKind::Cons), {S.Source, Nil}))
+                        : Lists[S.Below];
+    Lists[I] = G.add(ENode(Op(OpKind::Cons), {S.Elem, Tail}));
+    G.merge(S.Ancestor,
+            G.add(ENode(Op(OpKind::Fold), {UnionRef, Empty, Lists[I]})));
+  }
+  G.rebuild();
 }
 
 SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
@@ -191,16 +245,16 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
     // One site per fold class, its longest list, longest lists first; the
     // scan walks each list spine once (locateFoldSites).
     //
-    // Fold extension leaves every proper suffix of a list as the list of an
-    // inner union's fold class, so each suffix is a site of its own. Once a
-    // Mapi fits a site's own list, every tail class along its spine is
-    // covered and its site is skipped: a closed form that fits indices
-    // 0..n-1 fits each suffix after an index shift, so the suffix programs
-    // would only lose to the whole-list one. Skipping a site removes
-    // alternatives, never soundness, since inference only adds verified
-    // equivalences. A list that does not fit leaves its tails uncovered,
-    // so a regular run in a suffix (gear's teeth after its body, Fig. 16's
-    // partial repetition) is still found at that suffix's site.
+    // Every proper suffix of a spine list is the list of an inner union's
+    // fold class (fold-intro shares it), so each suffix is a site of its
+    // own. Once a Mapi fits a site's own list, every tail class along its
+    // spine is covered and its site is skipped: a closed form that fits
+    // indices 0..n-1 fits each suffix after an index shift, so the suffix
+    // programs would only lose to the whole-list one. Skipping a site
+    // removes alternatives, never soundness, since inference only adds
+    // verified equivalences. A list that does not fit leaves its tails
+    // uncovered, so a regular run in a suffix (gear's teeth after its body,
+    // Fig. 16's partial repetition) is still found at that suffix's site.
     const std::vector<FoldSite> Sites = locateFoldSites(G, Opts.MaxFoldSites);
     std::unordered_set<EClassId> Covered;
     auto coverTails = [&](EClassId List) {
@@ -215,12 +269,14 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
     };
 
     // --- Determinize, sort, and solve each context (Fig. 5 lines 5-7) ---
+    std::vector<EClassId> Solved; // fold classes that got a program
     for (const auto &[FoldClass, ListClass] : Sites) {
       if (cancelled())
         break;
       if (Covered.count(G.find(ListClass)))
         continue;
       ++Result.Stats.FoldSites;
+      const size_t RecordsBefore = Result.Stats.Records.size();
       bool Fits = false;
       std::vector<ChainDecomposition> Ds = determinize(G, ListClass);
       Result.Stats.Decompositions += Ds.size();
@@ -260,7 +316,11 @@ SynthesisResult Synthesizer::synthesize(const TermPtr &FlatCsg) const {
       G.rebuild();
       if (Fits)
         coverTails(ListClass);
+      if (Result.Stats.Records.size() > RecordsBefore)
+        Solved.push_back(FoldClass);
     }
+    if (!cancelled())
+      addPrefixLists(G, Solved);
     Result.Stats.SolveSeconds =
         std::chrono::duration<double>(Clock::now() - SolveStart).count();
   };

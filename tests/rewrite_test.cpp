@@ -247,6 +247,47 @@ TEST(RuleSoundness, FoldIntroAndExtension) {
   EXPECT_TRUE(G.representsTerm(Root, Folded));
 }
 
+TEST(RuleSoundness, FoldIntroAddsAWholeRightSpineAtOnce) {
+  // Each union gets its spine's maximal list in one step, consed onto the
+  // inner union's list: the chain saturates without a second growth
+  // iteration, and shared suffixes keep the graph linear in n (growing one
+  // element per iteration kept every prefix variant, ~n^2/2 Cons nodes).
+  std::vector<TermPtr> Cubes;
+  for (int I = 0; I < 300; ++I)
+    Cubes.push_back(tTranslate(2.0 * I, 0, 0, tUnit()));
+  EGraph G;
+  EClassId Root = G.addTerm(tUnionAll(Cubes));
+  RunnerReport Report = Runner().run(G, foldRules());
+  EXPECT_EQ(Report.Stop, StopReason::Saturated);
+  EXPECT_LE(Report.numIterations(), 2u);
+  EXPECT_TRUE(G.representsTerm(
+      Root, tFold(tOpRef(OpKind::Union), tEmpty(), tList(Cubes))));
+  std::vector<TermPtr> Rest(Cubes.begin() + 1, Cubes.end());
+  EXPECT_FALSE(G.representsTerm(
+      Root, tFold(tOpRef(OpKind::Union), tEmpty(),
+                  tList({Cubes[0], tUnionAll(Rest)}))));
+  EXPECT_LT(G.numNodes(), 8 * Cubes.size());
+}
+
+TEST(RuleSoundness, FoldIntroEndsItsWalkAtAUnionCycle) {
+  // Merging Union(a, a) into a (what union-idem does) leaves a class that
+  // is its own right operand. The spine walk must end there, not loop.
+  // (Saturating such a graph does not terminate: fold-cons-right grows
+  // [a, ..., a] without bound, which is why the synthesizer dedupes union
+  // operands before building its graph. One application is the test.)
+  TermPtr A = tTranslate(2, 0, 0, tUnit());
+  TermPtr B = tTranslate(4, 0, 0, tUnit());
+  EGraph G;
+  EClassId Root = G.addTerm(tUnion(B, tUnion(A, A)));
+  G.merge(G.addTerm(tUnion(A, A)), G.addTerm(A));
+  G.rebuild();
+  const Rewrite FoldIntro = foldRules().front();
+  ASSERT_EQ(FoldIntro.name(), "fold-intro");
+  EXPECT_EQ(FoldIntro.run(G), 2u);
+  EXPECT_TRUE(G.representsTerm(
+      Root, tFold(tOpRef(OpKind::Union), tEmpty(), tList({B, A, A}))));
+}
+
 TEST(RuleSoundness, FoldHandlesLeftNestedUnions) {
   TermPtr A = tTranslate(2, 0, 0, tUnit());
   TermPtr B = tTranslate(4, 0, 0, tUnit());

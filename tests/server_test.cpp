@@ -21,6 +21,8 @@
 #include "server/Client.h"
 #include "server/Server.h"
 
+#include "SlowInput.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -415,13 +417,13 @@ TEST(ServerFrameTest, FullQueueRejectsWhileInFlightJobsComplete) {
   Server S(Cfg);
   Server::Session Sess;
 
-  // Park the single worker on a 240-tooth gear (seconds of work: its fold
-  // chain spends the full iteration fuel; cancelled below once the
-  // rejection landed), then fill the 1-deep queue behind it.
+  // Park the single worker on a job that runs for over a second (a
+  // 900-element chain with no closed form, SlowInput.h; cancelled below
+  // once the rejection landed), then fill the 1-deep queue behind it.
   Request Slow;
   Slow.K = Request::Kind::Submit;
   Slow.Name = "slow";
-  Slow.Source = printSexp(models::gearModel(240));
+  Slow.Source = printSexp(slowIrregularChain());
   JsonValue First = parsed(S.handleFrame(Sess, encodeRequest(Slow)));
   ASSERT_TRUE(okOf(First));
   uint64_t SlowJob = static_cast<uint64_t>(First.get("job")->asNumber());

@@ -20,6 +20,8 @@
 #include "rewrites/Rules.h"
 #include "service/SynthesisService.h"
 
+#include "SlowInput.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -63,11 +65,10 @@ std::vector<std::string> runCorpus(size_t Workers, bool EnableCache) {
   return Out;
 }
 
-/// An input that keeps a worker busy for seconds by construction: a
-/// 240-tooth gear, whose fold chain extends by one tooth per saturation
-/// iteration and so spends the full iteration fuel before solving 240
-/// elements. Every corpus model finishes well inside a second.
-TermPtr slowInput() { return models::gearModel(240); }
+/// An input that keeps a worker busy for over a second by construction
+/// (SlowInput.h: a 900-element chain with no closed form, whose suffix
+/// sites are all solved). Every corpus model finishes in milliseconds.
+TermPtr slowInput() { return slowIrregularChain(); }
 
 std::string tempDir(const char *Name) {
   std::string Dir = testing::TempDir() + "/" + Name;
@@ -303,6 +304,9 @@ TEST(ResultCacheTest, FingerprintsSeparateResultRelevantOptions) {
   // The default options under schema version 2, before suffix sites of a
   // fitted list were skipped: their cached results must not be served.
   EXPECT_NE(optionsFingerprint(A), 0x819fed3bc0799f8dull);
+  // Likewise under schema version 3, before fold-intro added whole spine
+  // lists (spines past the iteration fuel came back as partial loops).
+  EXPECT_NE(optionsFingerprint(A), 0x7611ece956ab8c40ull);
 }
 
 TEST(ResultCacheTest, InputKeyIsValueLevel) {

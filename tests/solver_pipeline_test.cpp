@@ -247,6 +247,36 @@ TEST(SolverPreprocess, DedupeKeepsBooleanContextsSeparate) {
   EXPECT_EQ(dedupeUnionOperands(NoDup).get(), NoDup.get());
 }
 
+TEST(SolverPreprocess, DedupeWalksA200000DeepChainIteratively) {
+  // Terms built in code have no depth bound, and long spines are worth
+  // synthesizing; a recursive walk overflowed the stack on chains this deep.
+  // Right-nested: 100000 distinct cubes, then the same 100000 again. The
+  // repeats drop and the first occurrences keep their order.
+  std::vector<TermPtr> Cubes;
+  for (int I = 0; I < 100000; ++I)
+    Cubes.push_back(tTranslate(I, 0, 0, tUnit()));
+  std::vector<TermPtr> Twice = Cubes;
+  Twice.insert(Twice.end(), Cubes.begin(), Cubes.end());
+  EXPECT_EQ(dedupeUnionOperands(tUnionAll(Twice)).get(),
+            tUnionAll(Cubes).get());
+
+  // Left-nested and duplicate-free: the walk returns the input pointer.
+  TermPtr Left = tUnit();
+  for (int I = 0; I < 200000; ++I)
+    Left = tUnion(Left, tTranslate(I, 0, 0, tUnit()));
+  EXPECT_EQ(dedupeUnionOperands(Left).get(), Left.get());
+
+  // A duplicate at the bottom of a 200000-deep Diff chain: every level
+  // above it is rebuilt, and only the bottom spine collapses.
+  TermPtr A = tTranslate(1, 0, 0, tUnit());
+  TermPtr Dup = tUnion(A, A), Want = A;
+  for (int I = 0; I < 200000; ++I) {
+    Dup = tDiff(Dup, Cubes[I % Cubes.size()]);
+    Want = tDiff(Want, Cubes[I % Cubes.size()]);
+  }
+  EXPECT_EQ(dedupeUnionOperands(Dup).get(), Want.get());
+}
+
 TEST(SolverPreprocess, SequenceProfileStatistics) {
   SequenceProfile P = sequenceProfile({1, 2, 4, 8});
   EXPECT_EQ(P.N, 4u);

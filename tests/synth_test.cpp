@@ -512,3 +512,52 @@ TEST(SynthTest, DescribeLoopsWalksA200000DeepChainIteratively) {
   EXPECT_EQ(S.Notation, "n1,7");
   EXPECT_EQ(S.Forms, "d1");
 }
+
+TEST(SynthTest, LongChainsAndGearsRecoverTheirWholeLoop) {
+  // fold-intro adds a right spine's whole list in one step, so the fuel a
+  // chain needs does not grow with its length. With one element per
+  // iteration, IterLimit 128 capped the loops: a 200-cube chain came back
+  // as n1,129 and a 400-cube chain as n1,55. Each input must recover its
+  // whole loop at rank 1, with the top-program size of a short input, in
+  // a few iterations.
+  const uint64_t ChainSize =
+      termSize(Synthesizer().synthesize(translatedCubes(12)).best());
+  const uint64_t GearSize =
+      termSize(Synthesizer().synthesize(models::gearModel(60)).best());
+  struct Row {
+    TermPtr Input;
+    int N;
+    uint64_t Size;
+  };
+  const Row Rows[] = {{translatedCubes(200), 200, ChainSize},
+                      {translatedCubes(400), 400, ChainSize},
+                      {models::gearModel(200), 200, GearSize},
+                      {models::gearModel(240), 240, GearSize},
+                      {models::gearModel(400), 400, GearSize}};
+  for (const Row &Case : Rows) {
+    SynthesisResult R = Synthesizer().synthesize(Case.Input);
+    const std::string Loop = "n1," + std::to_string(Case.N);
+    EXPECT_EQ(R.Stats.Rewriting.Stop, StopReason::Saturated) << Loop;
+    EXPECT_LE(R.Stats.Rewriting.numIterations(), 8u) << Loop;
+    EXPECT_EQ(R.structureRank(), 1u) << Loop;
+    EXPECT_EQ(describeLoops(R.best()).Notation, Loop);
+    EXPECT_EQ(termSize(R.best()), Case.Size) << Loop;
+  }
+  EXPECT_EQ(ChainSize, 20u);
+  EXPECT_EQ(GearSize, 68u);
+}
+
+TEST(SynthTest, DiceKeepsBothLoopsUnderRewardLoops) {
+  // The dice's top program folds three spheres, a loop of 3 and a loop of
+  // 4 in one list: a prefix list [x_j, ..., U_k] over the suffix U_k that
+  // holds the loops. fold-intro adds only whole-spine lists, so the
+  // synthesizer adds these prefix lists after solving; without them the
+  // best program keeps only n1,4, at cost 105.5 instead of 103.5.
+  SynthesisOptions Opts;
+  Opts.Cost = CostKind::RewardLoops;
+  SynthesisResult R =
+      synthesizeChecked(models::modelByName("3094201:dice").FlatCsg, Opts);
+  EXPECT_EQ(R.structureRank(), 1u);
+  EXPECT_EQ(describeLoops(R.best()).Notation, "n1,3; n1,4");
+  EXPECT_LT(R.Programs.front().Cost, 104.0);
+}
